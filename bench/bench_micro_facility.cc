@@ -10,8 +10,8 @@
 //   --hotpath-json=PATH   instead of running google-benchmark, measure the
 //                         hot-path operations (schedule, cancel, nothing-due
 //                         check, dispatch cycle, burst drains, and the
-//                         update-heavy re-arm mix) across all five
-//                         TimerQueue kinds and write machine-readable JSON
+//                         update-heavy re-arm mix) across every
+//                         TimerQueue kind and write machine-readable JSON
 //                         (ns/op and allocs/op) to PATH, alongside the
 //                         facility-level numbers recorded from the tree
 //                         before the zero-allocation rework.
@@ -316,14 +316,11 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
                "    \"trigger_check_nothing_due_allocs_per_op\": 0.000\n"
                "  },\n");
   std::fprintf(f, "  \"current\": {\n");
-  const TimerQueueKind kKinds[] = {
-      TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList,
-      TimerQueueKind::kGroupedSorting};
-  constexpr size_t kNumKinds = sizeof(kKinds) / sizeof(kKinds[0]);
+  constexpr size_t kNumKinds = std::size(kAllTimerQueueKinds);
   for (size_t k = 0; k < kNumKinds; ++k) {
-    HotpathSample s = MeasureHotpath(kKinds[k], iters);
-    std::fprintf(f, "    \"%s\": {\n", TimerQueueKindName(kKinds[k]));
+    const TimerQueueKind kind = kAllTimerQueueKinds[k];
+    HotpathSample s = MeasureHotpath(kind, iters);
+    std::fprintf(f, "    \"%s\": {\n", TimerQueueKindName(kind));
     WriteOp(f, "schedule", s.schedule, ",");
     WriteOp(f, "cancel", s.cancel, ",");
     WriteOp(f, "nothing_due_check", s.nothing_due_check, ",");
@@ -339,7 +336,7 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
                 "(allocs/op %.3f)  dispatch-cycle %6.1f ns  "
                 "burst/event %5.1f -> %5.1f ns  "
                 "update %5.1f ns vs pair %5.1f ns\n",
-                TimerQueueKindName(kKinds[k]), s.schedule.ns_per_op,
+                TimerQueueKindName(kind), s.schedule.ns_per_op,
                 s.cancel.ns_per_op, s.nothing_due_check.ns_per_op,
                 s.nothing_due_check.allocs_per_op, s.dispatch_cycle.ns_per_op,
                 s.burst_dispatch_read_every_event.ns_per_op,

@@ -161,44 +161,7 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (config_.idle_strategy == IdleStrategy::kBusyPoll) {
       continue;
     }
-    if (config_.idle_work) {
-      // Section 5.2: an idle CPU polls instead of halting. One idle shard at
-      // a time claims the shared work; it keeps the claim while its own
-      // timers are quiet and hands it back once they need service, so the
-      // work migrates to whichever shard is idle.
-      size_t expected = kNoIdleOwner;
-      bool owner =
-          // ordering: relaxed self-check - only this shard ever stores its
-          // own index, so reading it back needs no synchronization.
-          idle_owner_.load(std::memory_order_relaxed) == shard ||
-          // ordering: acq_rel claim - acquire pairs with the release
-          // handback below so the new owner sees the previous owner's
-          // idle_work effects; release publishes ours when we hand back.
-          idle_owner_.compare_exchange_strong(expected, shard,
-                                              std::memory_order_acq_rel);
-      if (owner) {
-        uint64_t horizon =
-            clock_.NowTicks() +
-            runtime_->shard_facility(shard).ticks_per_backup_interval();
-        std::optional<uint64_t> deadline =
-            runtime_->shard_facility(shard).NextDeadlineTick();
-        if (deadline && *deadline < horizon) {
-          // ordering: release handback - publishes this owner's idle_work
-          // effects to whichever shard claims the slot next (acquire CAS).
-          idle_owner_.store(kNoIdleOwner, std::memory_order_release);
-        } else {
-          config_.idle_work();
-          ++loop.stats.idle_work_runs;
-          continue;  // poll again right away; no sleep while owning
-        }
-      }
-    }
     SleepAndDispatch(shard);
-  }
-  // ordering: relaxed self-check + release handback, same pairing as the
-  // idle-work claim above (only this shard ever stores its own index).
-  if (idle_owner_.load(std::memory_order_relaxed) == shard) {
-    idle_owner_.store(kNoIdleOwner, std::memory_order_release);
   }
 }
 

@@ -15,18 +15,19 @@
 //    even a hypothetical missed wakeup a bounded-lateness event, never a
 //    lost one.
 //
-//  * Idle-shard work takeover. The paper has idle CPUs poll the network
-//    instead of halting (Section 5.2; mirrored by tests/smp_test.cc). When
-//    Config::idle_work is set, at most one otherwise-idle shard at a time
-//    claims it (single atomic owner slot) and busy-runs it instead of
-//    sleeping, releasing the claim as soon as its own timers need service.
+//  * Shared polling work. The paper has idle CPUs poll the network instead
+//    of halting (Section 5.2; mirrored by tests/smp_test.cc). With
+//    Config::queue_work set, every normal shard offers each loop iteration
+//    to a claimed-queue poller (MultiQueuePoller): whichever shard wins a
+//    queue's claim drains it, and the set-wide next-due tick bounds every
+//    shard's sleep.
 //
 // Per-shard profiles (DESIGN.md section 14). Each shard runs one of two
 // loop profiles, selected by Config::shard_profiles so mixed-profile hosts
 // are first-class:
 //
 //  * kNormal - the loop described above (trigger checks + backup-bounded
-//    sleeps, optional idle-work takeover).
+//    sleeps, optional queue work).
 //
 //  * kIsolated - a latency-SLO dedicated core: the loop spins on
 //    trigger-state checks forever (CpuRelax() pause hint per iteration) and
@@ -118,15 +119,11 @@ class ShardedRtHost {
     IdleStrategy idle_strategy = IdleStrategy::kSleep;
     size_t max_producers = 8;
     size_t ring_capacity = 1024;
-    // Shared polling work (e.g. the network poll loop). When set, one
-    // otherwise-idle shard at a time runs it instead of sleeping. Must be
-    // thread-compatible: it is only ever run by one shard at a time, but
-    // that shard changes over time.
-    std::function<size_t()> idle_work;
-    // M-on-N claimed queue polling (MultiQueuePoller, src/net). Unlike
-    // idle_work's single-owner arbiter, queue_work is served by EVERY
-    // kNormal shard concurrently - per-queue exclusivity is the callee's
-    // problem (the QueueClaim protocol). `poll` runs once per loop
+    // Shared polling work (e.g. the network poll loop): M-on-N claimed
+    // queue polling (MultiQueuePoller, src/net). queue_work is served by
+    // EVERY kNormal shard concurrently - per-queue exclusivity is the
+    // callee's problem (the QueueClaim protocol), so a one-queue poller
+    // runs its queue on one shard at a time. `poll` runs once per loop
     // iteration (it claims and drains at most one due queue; the loop keeps
     // serving while it returns packets), and `next_due` bounds the shard's
     // sleep so no due queue waits for a backup interrupt when every shard
@@ -149,7 +146,7 @@ class ShardedRtHost {
     // Per-shard profiles. Empty = every shard runs kNormal. Otherwise must
     // have exactly num_shards entries; mixed hosts (isolated shard 0 beside
     // normal shard 1) are the intended use. Isolated shards ignore
-    // idle_strategy and never claim idle_work - the core is dedicated.
+    // idle_strategy and never serve queue_work - the core is dedicated.
     std::vector<ShardProfileConfig> shard_profiles;
   };
 
@@ -182,7 +179,6 @@ class ShardedRtHost {
     uint64_t sleeps = 0;         // condvar sleeps entered
     uint64_t backup_checks = 0;  // checks attributed to the backup interrupt
     uint64_t wakeups = 0;        // producer pokes delivered to a sleeper
-    uint64_t idle_work_runs = 0; // idle_work invocations by this shard
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
     uint64_t queue_packets = 0;  // packets those invocations drained
   };
@@ -278,10 +274,6 @@ class ShardedRtHost {
   std::vector<std::unique_ptr<ShardLoop>> loops_;
   std::atomic<bool> stop_{false};
   bool running_ = false;
-  // Idle-work arbiter: index of the shard currently running idle_work, or
-  // kNoIdleOwner. Claimed with a single CAS by an idle shard.
-  static constexpr size_t kNoIdleOwner = static_cast<size_t>(-1);
-  std::atomic<size_t> idle_owner_{kNoIdleOwner};
 };
 
 }  // namespace softtimer

@@ -1,12 +1,13 @@
 // TimerQueue: the data-structure interface under the soft-timer facility.
 //
 // The paper maintains scheduled soft-timer events in "a modified form of
-// timing wheels [Varghese & Lauck]". This library provides five
+// timing wheels [Varghese & Lauck]". This library provides four
 // interchangeable implementations behind one interface:
 //
-//   HeapTimerQueue           - binary heap; the textbook baseline.
-//   HashedTimingWheel        - single-level hashed wheel with rounds.
-//   HierarchicalTimingWheel  - multi-level cascading wheel.
+//   HeapTimerQueue           - binary heap; the textbook baseline and the
+//                              reference oracle of the test suites.
+//   HashedTimingWheel        - single-level hashed wheel with rounds; the
+//                              paper's structure and the default.
 //   CalloutListTimerQueue    - sorted list; the 4.3BSD callout structure
 //                              timing wheels were invented to replace.
 //   GroupedSortingQueue      - coarse deadline groups sorted lazily on
@@ -249,13 +250,22 @@ class TimerQueue {
   };
 };
 
-// Factory selector used by SoftTimerFacility config.
+// Factory selector used by SoftTimerFacility config. The values are fixed so
+// a kind keeps its number when another backend is added or removed.
 enum class TimerQueueKind {
-  kHeap,
-  kHashedWheel,
-  kHierarchicalWheel,
-  kCalloutList,
-  kGroupedSorting,
+  kHeap = 0,
+  kHashedWheel = 1,
+  kCalloutList = 3,
+  kGroupedSorting = 4,
+};
+
+// Every backend, heap (the reference oracle) first. Suites and benches that
+// cover all backends iterate this list.
+inline constexpr TimerQueueKind kAllTimerQueueKinds[] = {
+    TimerQueueKind::kHeap,
+    TimerQueueKind::kHashedWheel,
+    TimerQueueKind::kCalloutList,
+    TimerQueueKind::kGroupedSorting,
 };
 
 // Creates a queue of the given kind. `tick_granularity` is the wheel slot

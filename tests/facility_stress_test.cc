@@ -12,6 +12,7 @@
 #include "src/core/soft_timer_facility.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "tests/timer_queue_kind_name.h"
 
 namespace softtimer {
 namespace {
@@ -106,21 +107,7 @@ TEST_P(FacilityStress, HandlersSchedulingAndCancellingPeers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FacilityStress,
-                         ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kHashedWheel,
-                                           TimerQueueKind::kHierarchicalWheel,
-                                           TimerQueueKind::kCalloutList,
-                                           TimerQueueKind::kGroupedSorting),
-                         [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
-                           std::string n = TimerQueueKindName(info.param);
-                           std::string out;
-                           for (char c : n) {
-                             if (c != '-') {
-                               out += c;
-                             }
-                           }
-                           return out;
-                         });
+                         ::testing::ValuesIn(kAllTimerQueueKinds), KindSlugTestName);
 
 }  // namespace
 }  // namespace softtimer

@@ -20,6 +20,7 @@
 #include "src/pacing/pacing_wheel.h"
 #include "src/pacing/pacing_wheel_host.h"
 #include "src/sim/simulator.h"
+#include "tests/timer_queue_kind_name.h"
 
 namespace softtimer {
 namespace {
@@ -287,32 +288,11 @@ TEST(MultiQueuePollerAllocTest, ClaimAndPollPathAllocatesNothing) {
   EXPECT_EQ(poller.total_packets(), 3 * drains);
 }
 
-std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
-  switch (info.param) {
-    case TimerQueueKind::kHeap: return "Heap";
-    case TimerQueueKind::kHashedWheel: return "HashedWheel";
-    case TimerQueueKind::kHierarchicalWheel: return "HierarchicalWheel";
-    case TimerQueueKind::kCalloutList: return "CalloutList";
-    case TimerQueueKind::kGroupedSorting: return "GroupedSorting";
-  }
-  return "Unknown";
-}
+INSTANTIATE_TEST_SUITE_P(AllQueueKinds, PacingWheelAllocTest,
+                         ::testing::ValuesIn(kAllTimerQueueKinds), KindTestName);
 
-INSTANTIATE_TEST_SUITE_P(
-    AllQueueKinds, PacingWheelAllocTest,
-    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-                      TimerQueueKind::kHierarchicalWheel,
-                      TimerQueueKind::kCalloutList,
-                      TimerQueueKind::kGroupedSorting),
-    KindName);
-
-INSTANTIATE_TEST_SUITE_P(
-    AllQueueKinds, HotpathAllocTest,
-    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-                      TimerQueueKind::kHierarchicalWheel,
-                      TimerQueueKind::kCalloutList,
-                      TimerQueueKind::kGroupedSorting),
-    KindName);
+INSTANTIATE_TEST_SUITE_P(AllQueueKinds, HotpathAllocTest,
+                         ::testing::ValuesIn(kAllTimerQueueKinds), KindTestName);
 
 }  // namespace
 }  // namespace softtimer

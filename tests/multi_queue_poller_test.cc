@@ -206,6 +206,17 @@ TEST(MultiQueuePollerTest, ThreadsNeverOverlapAndConservePackets) {
       tick.fetch_add(50, std::memory_order_relaxed);
       std::this_thread::yield();
     }
+    // Drain the tail before stopping: keep the clock moving until every
+    // queue is empty (for at most 5 s), so a core thread that started late
+    // or was preempted during production still gets its turn. A queue the
+    // poller never serves stays non-empty and fails the checks below.
+    auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::any_of(queues.begin(), queues.end(),
+                       [](const auto& q) { return q->available() > 0; }) &&
+           std::chrono::steady_clock::now() < give_up) {
+      tick.fetch_add(50, std::memory_order_relaxed);
+      std::this_thread::yield();
+    }
     stop.store(true, std::memory_order_relaxed);
   });
   std::vector<std::thread> cores;

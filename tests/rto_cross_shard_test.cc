@@ -53,6 +53,13 @@ struct Xorshift {
 TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   constexpr size_t kConns = 32;
   constexpr int kSegmentsTotal = 8'000;
+  constexpr uint64_t kIterationBudget = 20'000'000;
+  // Virtual time may run at most one minimum wire delay past the oldest ACK
+  // that has not yet reached the shard's command ring. The clock is virtual
+  // and the NIC thread is real, so without this bound a preempted NIC
+  // thread lets every connection exhaust its retransmits before one ACK
+  // lands.
+  constexpr uint64_t kMaxLeadTicks = 100;
 
   AtomicClock clock;
   ShardedSoftTimerRuntime::Config rc;
@@ -70,12 +77,21 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   // (conn_id, seq_end) pairs awaiting an ACK, owner -> NIC thread.
   std::mutex wire_mutex;
   std::deque<std::pair<uint64_t, uint64_t>> wire;
+  std::atomic<bool> nic_ready{false};
+  std::atomic<uint64_t> delivered{0};  // wire items pushed to the ring
   std::atomic<bool> sends_done{false};
   std::atomic<bool> acks_done{false};
 
   std::thread nic([&] {
+    // Set acks_done on every exit, a failed fatal assertion included, so the
+    // owner never waits on a dead NIC thread.
+    struct SetOnExit {
+      std::atomic<bool>& flag;
+      ~SetOnExit() { flag.store(true, std::memory_order_release); }
+    } done{acks_done};
     auto token = rt.RegisterProducer();
     ASSERT_TRUE(token.valid());
+    nic_ready.store(true, std::memory_order_release);
     Xorshift rng(7);
     RtoEngine* eng = &engine;
     while (true) {
@@ -110,12 +126,36 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
       // The retry helper must absorb ring bursts; losing an ACK here would
       // break the accounting below.
       ASSERT_TRUE(id.valid());
+      // ordering: only gates the owner's clock advance; the ring push
+      // above carries its own publication.
+      delivered.fetch_add(1, std::memory_order_relaxed);
     }
-    acks_done.store(true, std::memory_order_release);
   });
+
+  // Start barrier: the clock stays put until the NIC thread is serving.
+  while (!nic_ready.load(std::memory_order_acquire) &&
+         !acks_done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
 
   // Owner: open connections, stream segments as window space allows, pump
   // trigger states.
+  std::deque<uint64_t> undelivered_send_ticks;  // owner-only, wire order
+  uint64_t retired = 0;
+  auto pump = [&] {
+    // ordering: see the NIC thread's increment.
+    for (uint64_t d = delivered.load(std::memory_order_relaxed); retired < d;
+         ++retired) {
+      undelivered_send_ticks.pop_front();
+    }
+    if (undelivered_send_ticks.empty() ||
+        clock.NowTicks() - undelivered_send_ticks.front() < kMaxLeadTicks) {
+      clock.Advance(25);
+    } else {
+      std::this_thread::yield();  // the NIC thread owes the ring an ACK
+    }
+    rt.OnTriggerState(0, TriggerSource::kSyscall);
+  };
   std::vector<uint64_t> conns(kConns);
   std::vector<uint64_t> next_seq(kConns, 1'000);
   for (size_t i = 0; i < kConns; ++i) {
@@ -123,11 +163,16 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   }
   int sent = 0;
   uint64_t iterations = 0;
-  while (sent < kSegmentsTotal) {
+  bool send_accepted = true;
+  // Ends early when every connection has given up or the NIC thread died,
+  // so a failure reports below instead of spinning out the budget.
+  while (sent < kSegmentsTotal && send_accepted && engine.open_connections() > 0 &&
+         !acks_done.load(std::memory_order_acquire)) {
     // Guard against livelock regressions: fail loudly instead of hanging.
-    ASSERT_LT(++iterations, 20'000'000u) << "owner loop made no progress";
-    clock.Advance(25);
-    rt.OnTriggerState(0, TriggerSource::kSyscall);
+    if (++iterations >= kIterationBudget) {
+      break;
+    }
+    pump();
     int sent_this_iter = 0;
     for (size_t i = 0; i < kConns && sent < kSegmentsTotal; ++i) {
       if (!engine.IsOpen(conns[i]) ||
@@ -136,18 +181,20 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
       }
       uint64_t seq = next_seq[i];
       next_seq[i] += 1'000;
-      ASSERT_TRUE(engine.OnSegmentSent(conns[i], seq));
+      send_accepted = engine.OnSegmentSent(conns[i], seq);
+      if (!send_accepted) {
+        break;
+      }
       ++sent;
       ++sent_this_iter;
+      undelivered_send_ticks.push_back(clock.NowTicks());
       {
         std::lock_guard<std::mutex> lock(wire_mutex);
         wire.emplace_back(conns[i], seq);
       }
     }
     if (sent_this_iter == 0) {
-      // Windows full: the NIC thread owes us ACKs. Yield so it can run -
-      // otherwise on one CPU the virtual clock races ahead of ACK delivery
-      // and every connection spuriously exhausts its retry budget.
+      // Windows full: the NIC thread owes us ACKs. Yield so it can run.
       std::this_thread::yield();
     }
   }
@@ -155,11 +202,19 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   // Keep the shard ticking until the NIC thread has pushed every ACK, then
   // let in-flight ACK timers and RTOs settle.
   while (!acks_done.load(std::memory_order_acquire)) {
-    clock.Advance(25);
-    rt.OnTriggerState(0, TriggerSource::kSyscall);
+    pump();
     std::this_thread::yield();
   }
   nic.join();
+  // Every fatal assertion comes after the join, and each failure reports
+  // the engine's state once the NIC thread has finished.
+  const RtoEngine::Stats& st = engine.stats();
+  SCOPED_TRACE(::testing::Message()
+               << "open=" << engine.open_connections() << " give_ups=" << st.give_ups
+               << " acked=" << st.segments_acked << " sent=" << sent
+               << " iterations=" << iterations);
+  ASSERT_LT(iterations, kIterationBudget) << "owner loop made no progress";
+  ASSERT_TRUE(send_accepted);
   for (int i = 0; i < 2'000; ++i) {
     clock.Advance(25);
     rt.OnTriggerState(0, TriggerSource::kSyscall);
@@ -170,7 +225,6 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
     }
   }
 
-  const RtoEngine::Stats& st = engine.stats();
   // Both arms of the race must actually have been exercised.
   EXPECT_GT(st.timers_cancelled, 0u);
   EXPECT_GT(st.timers_fired, 0u);

@@ -1,15 +1,18 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
-// cutting through backup-bounded sleeps, and the single-owner idle-work
-// takeover. Real threads and wall-clock sleeps; bounds are loose for loaded
-// CI machines. Runs under the `cross-thread` label / tsan preset.
+// cutting through backup-bounded sleeps, and shared polling work on a
+// one-queue MultiQueuePoller. Real threads and wall-clock sleeps; bounds are
+// loose for loaded CI machines. Runs under the `cross-thread` label / tsan preset.
 
 #include "src/rt/sharded_rt_host.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
+
+#include "src/net/multi_queue_poller.h"
 
 namespace softtimer {
 namespace {
@@ -59,55 +62,93 @@ TEST(ShardedRtHostTest, CrossCoreEventFiresWhileShardsSleep) {
   EXPECT_GT(loop.polls, 0u);
 }
 
-TEST(ShardedRtHostTest, IdleWorkRunsOnExactlyOneShardAtATime) {
+// One rx queue shared by every shard through queue_work: the paper's "idle
+// CPUs poll the network" (Section 5.2) on the M-on-N poller with M = 1.
+// Drain sleeps briefly so overlapping drains would be caught.
+class SharedQueue : public MultiQueuePoller::Queue {
+ public:
+  size_t Drain(size_t /*max_packets*/, uint64_t /*now_tick*/) override {
+    int now = concurrent_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    int prev = max_concurrent_.load(std::memory_order_relaxed);
+    while (now > prev &&
+           !max_concurrent_.compare_exchange_weak(prev, now,
+                                                  std::memory_order_relaxed)) {
+    }
+    drains_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    concurrent_.fetch_sub(1, std::memory_order_acq_rel);
+    return 1;
+  }
+  uint64_t drains() const { return drains_.load(std::memory_order_relaxed); }
+  int max_concurrent() const {
+    return max_concurrent_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<int> concurrent_{0};
+  std::atomic<int> max_concurrent_{0};
+  std::atomic<uint64_t> drains_{0};
+};
+
+MultiQueuePoller::Config OneQueuePollerConfig() {
+  MultiQueuePoller::Config pcfg;
+  pcfg.governor.min_interval_ticks = 10;  // 10 us at 1 MHz: always busy
+  pcfg.governor.max_interval_ticks = 1'000;
+  pcfg.governor.initial_interval_ticks = 10;
+  pcfg.max_cores = 4;
+  return pcfg;
+}
+
+TEST(ShardedRtHostTest, OneQueueWorkDrainsOnExactlyOneShardAtATime) {
+  MultiQueuePoller poller(OneQueuePollerConfig());
+  SharedQueue queue;
+  poller.AddQueue(&queue);
   ShardedRtHost::Config cfg;
   cfg.num_shards = 4;
-  std::atomic<int> concurrent{0};
-  std::atomic<int> max_concurrent{0};
-  std::atomic<uint64_t> runs{0};
-  cfg.idle_work = [&]() -> size_t {
-    int now = concurrent.fetch_add(1, std::memory_order_acq_rel) + 1;
-    int prev = max_concurrent.load(std::memory_order_relaxed);
-    while (now > prev &&
-           !max_concurrent.compare_exchange_weak(prev, now,
-                                                 std::memory_order_relaxed)) {
-    }
-    runs.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    concurrent.fetch_sub(1, std::memory_order_acq_rel);
-    return 0;
+  std::array<std::atomic<uint64_t>, 4> calls{};
+  cfg.queue_work.poll = [&](size_t shard, uint64_t now) {
+    calls[shard].fetch_add(1, std::memory_order_relaxed);
+    return poller.PollOnce(static_cast<uint32_t>(shard), now);
   };
+  cfg.queue_work.next_due = [&] { return poller.next_due_tick(); };
   ShardedRtHost host(cfg);
   host.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   host.Stop();
-  EXPECT_GT(runs.load(), 0u);
-  EXPECT_EQ(max_concurrent.load(), 1);  // the arbiter admits one owner only
-  uint64_t runs_by_shards = 0;
+  EXPECT_GT(queue.drains(), 0u);
+  EXPECT_EQ(queue.max_concurrent(), 1);  // the queue's claim admits one shard
+  EXPECT_EQ(poller.queue_stats(0).polls, queue.drains());
+  uint64_t claimed_polls = 0;
+  uint64_t loop_packets = 0;
   for (size_t s = 0; s < host.num_shards(); ++s) {
-    runs_by_shards += host.shard_loop_stats(s).idle_work_runs;
+    ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(s);
+    EXPECT_EQ(loop.queue_polls, calls[s].load()) << "shard " << s;
+    claimed_polls += poller.core_stats(static_cast<uint32_t>(s)).polls;
+    loop_packets += loop.queue_packets;
   }
-  EXPECT_EQ(runs_by_shards, runs.load());
+  EXPECT_EQ(claimed_polls, queue.drains());
+  EXPECT_EQ(loop_packets, poller.total_packets());
 }
 
-TEST(ShardedRtHostTest, BusyShardHandsIdleWorkBack) {
+TEST(ShardedRtHostTest, QueueWorkProgressesWhileShardsStayBusy) {
+  MultiQueuePoller poller(OneQueuePollerConfig());
+  SharedQueue queue;
+  poller.AddQueue(&queue);
   ShardedRtHost::Config cfg;
   cfg.num_shards = 2;
   cfg.interrupt_clock_hz = 1'000;
-  std::atomic<uint64_t> runs{0};
-  cfg.idle_work = [&]() -> size_t {
-    runs.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    return 0;
+  cfg.queue_work.poll = [&](size_t shard, uint64_t now) {
+    return poller.PollOnce(static_cast<uint32_t>(shard), now);
   };
+  cfg.queue_work.next_due = [&] { return poller.next_due_tick(); };
   ShardedRtHost host(cfg);
   host.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_GT(runs.load(), 0u);
+  ASSERT_GT(queue.drains(), 0u);
 
-  // Keep every shard busy with an imminent-deadline treadmill: the idle-work
-  // owner must release its claim when its own timers need service, yet the
-  // work keeps running overall (migrating between momentarily-idle shards).
+  // Keep every shard busy with an imminent-deadline treadmill: the queue
+  // must still be served (by whichever shard wins its claim between timer
+  // checks).
   auto token = host.RegisterProducer();
   std::atomic<bool> stop{false};
   std::thread treadmill([&] {
@@ -118,13 +159,15 @@ TEST(ShardedRtHostTest, BusyShardHandsIdleWorkBack) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
+  uint64_t drains_before = queue.drains();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  uint64_t runs_under_load = runs.load();
+  uint64_t drains_under_load = queue.drains() - drains_before;
   stop.store(true, std::memory_order_relaxed);
   treadmill.join();
   host.Stop();
-  // The work never wedged: it still made progress while shards cycled busy.
-  EXPECT_GT(runs_under_load, 0u);
+  // The queue never wedged: it still made progress while shards cycled busy.
+  EXPECT_GT(drains_under_load, 0u);
+  EXPECT_EQ(queue.max_concurrent(), 1);
   uint64_t dispatched = host.runtime().AggregateStats().dispatches;
   EXPECT_GT(dispatched, 0u);
 }

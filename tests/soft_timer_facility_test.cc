@@ -366,14 +366,18 @@ TEST_P(DelayBoundProperty, ActualFireTimeWithinPaperBound) {
   EXPECT_GT(checked, 5000u);
 }
 
+std::vector<BoundParam> AllBoundParams() {
+  std::vector<BoundParam> params;
+  for (TimerQueueKind kind : kAllTimerQueueKinds) {
+    for (uint64_t seed : {1, 99}) {
+      params.push_back({kind, seed});
+    }
+  }
+  return params;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Backends, DelayBoundProperty,
-    ::testing::Values(BoundParam{TimerQueueKind::kHeap, 1},
-                      BoundParam{TimerQueueKind::kHeap, 99},
-                      BoundParam{TimerQueueKind::kHashedWheel, 1},
-                      BoundParam{TimerQueueKind::kHashedWheel, 99},
-                      BoundParam{TimerQueueKind::kHierarchicalWheel, 1},
-                      BoundParam{TimerQueueKind::kHierarchicalWheel, 99}),
+    Backends, DelayBoundProperty, ::testing::ValuesIn(AllBoundParams()),
     [](const ::testing::TestParamInfo<BoundParam>& info) {
       std::string name = TimerQueueKindName(info.param.kind);
       for (auto& c : name) {

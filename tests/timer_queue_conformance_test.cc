@@ -1,5 +1,5 @@
 // Conformance suite shared by every TimerQueue implementation (heap, hashed
-// wheel, hierarchical wheel, callout list, grouped sorting queue): the
+// wheel, callout list, grouped sorting queue; kAllTimerQueueKinds): the
 // semantics documented in src/timer/timer_queue.h, exercised identically via
 // TEST_P, plus a randomized differential test that replays the same
 // operation stream (including Update re-arms) against a trivially-correct
@@ -16,6 +16,7 @@
 #include "src/sim/random.h"
 #include "src/timer/grouped_sorting_queue.h"
 #include "src/timer/timer_queue.h"
+#include "tests/timer_queue_kind_name.h"
 
 namespace softtimer {
 namespace {
@@ -627,38 +628,15 @@ TEST_P(TimerQueueConformanceTest, RandomizedDifferentialAgainstReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
-                         ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kHashedWheel,
-                                           TimerQueueKind::kHierarchicalWheel,
-                                           TimerQueueKind::kCalloutList,
-                                           TimerQueueKind::kGroupedSorting),
-                         [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
-                           switch (info.param) {
-                             case TimerQueueKind::kHeap:
-                               return "Heap";
-                             case TimerQueueKind::kHashedWheel:
-                               return "HashedWheel";
-                             case TimerQueueKind::kHierarchicalWheel:
-                               return "HierarchicalWheel";
-                             case TimerQueueKind::kCalloutList:
-                               return "CalloutList";
-                             case TimerQueueKind::kGroupedSorting:
-                               return "GroupedSorting";
-                           }
-                           return "Unknown";
-                         });
+                         ::testing::ValuesIn(kAllTimerQueueKinds), KindTestName);
 
 // --- Emulated-vs-native Update parity: replay one fixed update-heavy script
-// on every backend and require byte-identical fire sequences. The four
-// emulating backends and the native grouped path must be indistinguishable.
+// on every backend and require byte-identical fire sequences. The emulating
+// backends and the native grouped path must be indistinguishable.
 
 TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
-  const TimerQueueKind kKinds[] = {
-      TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList,
-      TimerQueueKind::kGroupedSorting};
   std::vector<std::vector<uint64_t>> sequences;
-  for (TimerQueueKind kind : kKinds) {
+  for (TimerQueueKind kind : kAllTimerQueueKinds) {
     auto q = MakeTimerQueue(kind);
     std::vector<uint64_t> fires;
     Rng rng(7);  // same stream for every backend
@@ -700,8 +678,8 @@ TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
   }
   for (size_t i = 1; i < sequences.size(); ++i) {
     EXPECT_EQ(sequences[i], sequences[0])
-        << "backend " << TimerQueueKindName(kKinds[i])
-        << " diverged from " << TimerQueueKindName(kKinds[0]);
+        << "backend " << TimerQueueKindName(kAllTimerQueueKinds[i])
+        << " diverged from " << TimerQueueKindName(kAllTimerQueueKinds[0]);
   }
 }
 
@@ -801,22 +779,23 @@ TEST(GroupedSortingQueueTest, UpdateUnchangedDeadlineNeverRenamesId) {
   EXPECT_EQ(fired, 0);
 }
 
-// Granularity > 1 wheels (not part of the heap's parameter space).
+// Granularity > 1 (the conformance suite runs at granularity 1; the heap
+// and the callout list ignore it).
 TEST(HashedWheelGranularityTest, CoarseGranularityStillFiresCorrectly) {
-  for (TimerQueueKind kind : {TimerQueueKind::kHashedWheel, TimerQueueKind::kHierarchicalWheel}) {
+  for (TimerQueueKind kind : kAllTimerQueueKinds) {
     auto q = MakeTimerQueue(kind, /*tick_granularity=*/8);
     std::vector<uint64_t> fires;
     q->Schedule(5, [&] { fires.push_back(5); });
     q->Schedule(9, [&] { fires.push_back(9); });
     q->Schedule(64, [&] { fires.push_back(64); });
     q->ExpireUpTo(4);
-    EXPECT_TRUE(fires.empty());
+    EXPECT_TRUE(fires.empty()) << TimerQueueKindName(kind);
     q->ExpireUpTo(7);  // mid-bucket: only the due timer fires
-    EXPECT_EQ(fires, (std::vector<uint64_t>{5}));
+    EXPECT_EQ(fires, (std::vector<uint64_t>{5})) << TimerQueueKindName(kind);
     q->ExpireUpTo(63);
-    EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9}));
+    EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9})) << TimerQueueKindName(kind);
     q->ExpireUpTo(64);
-    EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9, 64}));
+    EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9, 64})) << TimerQueueKindName(kind);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "src/core/soft_timer_facility.h"
 #include "src/timer/timer_queue.h"
 #include "src/timer/timer_slab.h"
+#include "tests/timer_queue_kind_name.h"
 
 namespace softtimer {
 namespace {
@@ -118,29 +119,8 @@ TEST_P(SlabTrimTest, FacilityExposesSlabOccupancyAndTrim) {
   EXPECT_LT(facility.stats().slab_capacity, 2 * kChunk);
 }
 
-std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
-  switch (info.param) {
-    case TimerQueueKind::kHeap:
-      return "Heap";
-    case TimerQueueKind::kHashedWheel:
-      return "HashedWheel";
-    case TimerQueueKind::kHierarchicalWheel:
-      return "HierWheel";
-    case TimerQueueKind::kCalloutList:
-      return "CalloutList";
-    case TimerQueueKind::kGroupedSorting:
-      return "GroupedSorting";
-  }
-  return "Unknown";
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBackends, SlabTrimTest,
-                         ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kHashedWheel,
-                                           TimerQueueKind::kHierarchicalWheel,
-                                           TimerQueueKind::kCalloutList,
-                                           TimerQueueKind::kGroupedSorting),
-                         KindTestName);
+                         ::testing::ValuesIn(kAllTimerQueueKinds), KindTestName);
 
 }  // namespace
 }  // namespace softtimer
