@@ -1,5 +1,5 @@
-// Pacing-wheel scale benchmark: the PR-headline claim that per-packet
-// pacing cost stays flat from 1k to 1M concurrent paced flows. The
+// Pacing-wheel scale benchmark: per-packet pacing cost stays flat from 1k
+// to 1M concurrent paced flows. The
 // per-flow soft-event design of Section 4.1 pays one ScheduleSoftEvent and
 // one timer dispatch per packet, so its cost per packet grows with the
 // timer population; the wheel's drain is a dense slot sweep whose cost per
@@ -14,9 +14,19 @@
 // granted. The alloc probe counts operator-new calls across the measured
 // phase: steady state must stay at zero.
 //
+// Two flow shapes:
+//   mix     the flatness points: an interval mix of 64..8192 ticks, so
+//           every drain grants tens to tens of thousands of packets.
+//   sparse  1M flows at log-uniform 0.5-32 s intervals (the end-to-end
+//           benchmark's pacing_fanout shape at a 1 MHz clock): every
+//           deadline parks in the overflow ring, and a drain every quantum
+//           grants only a handful of packets, each one a cold slab node.
+//           Memory stalls here are spread over many small slots, and
+//           overflow cascades are a real share of the total.
+//
 // Flags:
 //   --json=PATH   write the JSON report (schema softtimer-pacing-v1)
-//   --smoke       run the 1k/10k points only, with shorter phases
+//   --smoke       run the 1k/10k mix points and a 100k sparse point only
 //   --flows=N     run a single extra flow-count point
 //
 // Full run writes BENCH_pacing.json for the repo root (see EXPERIMENTS.md).
@@ -25,6 +35,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -66,8 +77,20 @@ class CountingSink : public PacingWheel::BatchSink {
 constexpr uint64_t kIntervals[] = {64, 128, 256, 512, 1024, 2048, 4096, 8192};
 constexpr size_t kIntervalCount = sizeof(kIntervals) / sizeof(kIntervals[0]);
 
+// Sparse shape: intervals log-uniform over [kSparseMinInterval,
+// kSparseMinInterval * kSparseSpan) ticks.
+constexpr uint64_t kSparseMinInterval = 500'000;
+constexpr double kSparseSpan = 64.0;
+
+enum class Shape { kMix, kSparse };
+
+const char* ShapeName(Shape shape) {
+  return shape == Shape::kMix ? "mix" : "sparse";
+}
+
 struct PointResult {
   size_t flows = 0;
+  Shape shape = Shape::kMix;
   uint64_t packets = 0;
   uint64_t drains = 0;
   uint64_t cpu_ns = 0;
@@ -77,6 +100,10 @@ struct PointResult {
   double ns_per_packet() const {
     return packets == 0 ? 0.0
                         : static_cast<double>(cpu_ns) / static_cast<double>(packets);
+  }
+  double packets_per_drain() const {
+    return drains == 0 ? 0.0
+                       : static_cast<double>(packets) / static_cast<double>(drains);
   }
   double allocs_per_packet() const {
     return packets == 0 ? 0.0
@@ -89,7 +116,7 @@ struct PointResult {
   }
 };
 
-PointResult RunPoint(size_t flows, uint64_t measure_ticks) {
+PointResult RunPoint(size_t flows, Shape shape, uint64_t measure_ticks) {
   PacingWheel::Config wc;
   wc.quantum_ticks = 8;
   wc.num_slots = 4096;  // horizon 32768 ticks: covers the 8192 mix
@@ -99,11 +126,21 @@ PointResult RunPoint(size_t flows, uint64_t measure_ticks) {
 
   std::vector<PacedFlowId> ids;
   ids.reserve(flows);
+  double packets_per_tick = 0;  // the ideal aggregate rate
   for (size_t i = 0; i < flows; ++i) {
-    uint64_t interval = kIntervals[i % kIntervalCount];
+    uint64_t interval =
+        shape == Shape::kMix
+            ? kIntervals[i % kIntervalCount]
+            : static_cast<uint64_t>(static_cast<double>(kSparseMinInterval) *
+                                    std::pow(kSparseSpan, rng.NextDouble()));
+    packets_per_tick += 1.0 / static_cast<double>(interval);
     PacedFlowConfig fc;
     fc.target_interval_ticks = interval;
-    fc.min_burst_interval_ticks = interval / 2;
+    // Sparse flows pace like pacing_fanout's: no catch-up branch. With a
+    // handful of packets per flow per run, the one catch-up packet a
+    // first-emission lateness of a few ticks buys would inflate the rate.
+    fc.min_burst_interval_ticks =
+        shape == Shape::kMix ? interval / 2 : interval;
     fc.max_coalesced_burst_packets = 4;
     PacedFlowId id = wheel.AddFlow(fc);
     ids.push_back(id);
@@ -125,13 +162,18 @@ PointResult RunPoint(size_t flows, uint64_t measure_ticks) {
     }
   };
 
-  // Warmup: two full wheel laps, so every slot has been touched and the
-  // slot vectors, drain scratch, and emit batch are at their high-water
-  // marks. Allocations after this are amortized-zero: jittered drains
-  // occasionally sweep two quantum slots at once, merging same-interval
-  // flows into a shared future slot, so per-slot occupancy records still
-  // break (and double a vector) at a slowly decaying rate.
-  spin(2 * wc.quantum_ticks * wc.num_slots);
+  // Warmup: two full laps of the wheel the shape lives in (the inner wheel
+  // for mix, the overflow ring for sparse), so every slot has been touched
+  // and the slot vectors, drain scratch, and emit batch are at their
+  // high-water marks. Allocations after this are amortized-zero: jittered
+  // drains occasionally sweep two quantum slots at once, merging
+  // same-interval flows into a shared future slot, so per-slot occupancy
+  // records still break (and double a vector) at a slowly decaying rate.
+  uint64_t lap = wc.quantum_ticks * wc.num_slots;
+  if (shape == Shape::kSparse) {
+    lap *= wc.overflow_slots;
+  }
+  spin(2 * lap);
 
   // Best-of-N timing: the per-point CPU window is short enough (tens of ms
   // at the small points) that scheduler preemption or a frequency dip can
@@ -145,6 +187,7 @@ PointResult RunPoint(size_t flows, uint64_t measure_ticks) {
   for (int rep = 0; rep < kMeasureReps; ++rep) {
     PointResult r;
     r.flows = flows;
+    r.shape = shape;
     uint64_t packets0 = sink.packets;
     uint64_t drains0 = wheel.stats().drains;
     uint64_t allocs0 = AllocProbeAllocCount();
@@ -156,10 +199,7 @@ PointResult RunPoint(size_t flows, uint64_t measure_ticks) {
     r.packets = sink.packets - packets0;
     r.drains = wheel.stats().drains - drains0;
     r.virtual_ticks = now - now0;
-    for (size_t i = 0; i < flows; ++i) {
-      r.expected_packets += static_cast<double>(r.virtual_ticks) /
-                            static_cast<double>(kIntervals[i % kIntervalCount]);
-    }
+    r.expected_packets = static_cast<double>(r.virtual_ticks) * packets_per_tick;
     worst_allocs = r.allocs > worst_allocs ? r.allocs : worst_allocs;
     if (rep == 0 || r.ns_per_packet() < best.ns_per_packet()) {
       best = r;
@@ -170,35 +210,48 @@ PointResult RunPoint(size_t flows, uint64_t measure_ticks) {
 }
 
 int Run(const std::string& json_path, bool smoke, size_t extra_flows) {
-  std::vector<size_t> points;
+  struct PointSpec {
+    size_t flows;
+    Shape shape;
+  };
+  std::vector<PointSpec> points;
   if (smoke) {
-    points = {1'000, 10'000};
+    points = {{1'000, Shape::kMix}, {10'000, Shape::kMix},
+              {100'000, Shape::kSparse}};
   } else {
-    points = {1'000, 10'000, 100'000, 1'000'000};
+    points = {{1'000, Shape::kMix}, {10'000, Shape::kMix},
+              {100'000, Shape::kMix}, {1'000'000, Shape::kMix},
+              {1'000'000, Shape::kSparse}};
   }
   if (extra_flows > 0) {
-    points.push_back(extra_flows);
+    points.push_back({extra_flows, Shape::kMix});
   }
 
   std::vector<PointResult> results;
-  for (size_t flows : points) {
-    // Measure at least one full wheel lap, and extend the virtual span at
-    // the small points so every point measures a comparable PACKET count:
-    // per-packet cost at 1k flows over a single lap is a ~5 ms CPU window,
-    // which scheduler noise can swing by 1.5x, and the flatness ratio
-    // divides by it. Rate accuracy normalizes by each point's own virtual
-    // span, so unequal spans stay comparable.
+  for (const PointSpec& spec : points) {
+    // Mix points: measure at least one full wheel lap, and extend the
+    // virtual span at the small points so every point measures a
+    // comparable PACKET count: per-packet cost at 1k flows over a single
+    // lap is a ~5 ms CPU window, which scheduler noise can swing by 1.5x,
+    // and the flatness ratio divides by it. Rate accuracy normalizes by
+    // each point's own virtual span, so unequal spans stay comparable.
+    // Sparse points measure one full overflow-ring lap (64 outer windows of
+    // one 32768-tick horizon), so every outer slot cascades once per window.
     uint64_t measure_ticks = 32'768;
-    if (flows < 100'000) {
-      measure_ticks *= 100'000 / flows;
+    if (spec.shape == Shape::kSparse) {
+      measure_ticks *= 64;
+    } else if (spec.flows < 100'000) {
+      measure_ticks *= 100'000 / spec.flows;
     }
-    PointResult r = RunPoint(flows, measure_ticks);
+    PointResult r = RunPoint(spec.flows, spec.shape, measure_ticks);
     results.push_back(r);
     std::printf(
-        "flows %8zu  packets %10" PRIu64 "  %6.1f ns/packet  "
-        "allocs/packet %.6f  rate accuracy %.4f  (%" PRIu64 " drains)\n",
-        r.flows, r.packets, r.ns_per_packet(), r.allocs_per_packet(),
-        r.rate_accuracy(), r.drains);
+        "%-6s flows %8zu  packets %10" PRIu64 "  %6.1f ns/packet  "
+        "allocs/packet %.6f  rate accuracy %.4f  (%" PRIu64
+        " drains, %.1f packets/drain)\n",
+        ShapeName(r.shape), r.flows, r.packets, r.ns_per_packet(),
+        r.allocs_per_packet(), r.rate_accuracy(), r.drains,
+        r.packets_per_drain());
   }
 
   if (!json_path.empty()) {
@@ -210,30 +263,41 @@ int Run(const std::string& json_path, bool smoke, size_t extra_flows) {
     std::fprintf(f, "{\n  \"schema\": \"softtimer-pacing-v1\",\n");
     std::fprintf(f,
                  "  \"note\": \"PacingWheel drain cost vs concurrent flow "
-                 "count; quantum 8 ticks, 4096 slots, interval mix 64..8192 "
-                 "ticks, min_burst=interval/2, coalesce cap 4; ns/packet is "
-                 "thread CPU time (CLOCK_THREAD_CPUTIME_ID) over packets "
-                 "granted (best of 3 identical windows), allocs from the "
-                 "operator-new probe (worst of 3), rate_accuracy is packets "
-                 "granted over the mix's ideal packet count for the measured "
-                 "virtual span\",\n");
+                 "count; quantum 8 ticks, 4096 slots, 64 overflow slots; "
+                 "shape mix = interval mix 64..8192 ticks, sparse = "
+                 "log-uniform 500000..32000000 ticks (drained every quantum, "
+                 "a few packets per drain); min_burst=interval/2 (mix) or "
+                 "interval (sparse), coalesce cap 4; ns/packet is thread CPU "
+                 "time "
+                 "(CLOCK_THREAD_CPUTIME_ID) over packets granted (best of 3 "
+                 "identical windows), allocs from the operator-new probe "
+                 "(worst of 3), rate_accuracy is packets granted over the "
+                 "shape's ideal packet count for the measured virtual "
+                 "span; flatness is over the mix points\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"points\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const PointResult& r = results[i];
       std::fprintf(f,
-                   "    {\"flows\": %zu, \"packets\": %" PRIu64
-                   ", \"drains\": %" PRIu64 ", \"virtual_ticks\": %" PRIu64
-                   ", \"cpu_ns\": %" PRIu64
+                   "    {\"shape\": \"%s\", \"flows\": %zu, \"packets\": %" PRIu64
+                   ", \"drains\": %" PRIu64 ", \"packets_per_drain\": %.1f"
+                   ", \"virtual_ticks\": %" PRIu64 ", \"cpu_ns\": %" PRIu64
                    ", \"ns_per_packet\": %.2f, \"allocs_per_packet\": %.6f, "
                    "\"rate_accuracy\": %.4f}%s\n",
-                   r.flows, r.packets, r.drains, r.virtual_ticks, r.cpu_ns,
+                   ShapeName(r.shape), r.flows, r.packets, r.drains,
+                   r.packets_per_drain(), r.virtual_ticks, r.cpu_ns,
                    r.ns_per_packet(), r.allocs_per_packet(), r.rate_accuracy(),
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    double first = results.front().ns_per_packet();
-    double last = results.back().ns_per_packet();
+    double first = 0;
+    double last = 0;
+    for (const PointResult& r : results) {
+      if (r.shape == Shape::kMix) {
+        first = first == 0 ? r.ns_per_packet() : first;
+        last = r.ns_per_packet();
+      }
+    }
     std::fprintf(f, "  \"flatness_ratio_last_over_first\": %.3f\n",
                  first > 0 ? last / first : 0.0);
     std::fprintf(f, "}\n");
@@ -247,16 +311,16 @@ int Run(const std::string& json_path, bool smoke, size_t extra_flows) {
   for (const PointResult& r : results) {
     if (r.rate_accuracy() < 0.95 || r.rate_accuracy() > 1.05) {
       std::fprintf(stderr,
-                   "FAIL: flows %zu achieved/expected packets %.4f outside "
-                   "[0.95, 1.05]\n",
-                   r.flows, r.rate_accuracy());
+                   "FAIL: %s flows %zu achieved/expected packets %.4f "
+                   "outside [0.95, 1.05]\n",
+                   ShapeName(r.shape), r.flows, r.rate_accuracy());
       rc = 1;
     }
     if (r.allocs_per_packet() > 0.001) {
       // Steady state must amortize to zero; a fraction above this gate
       // means a per-packet allocation crept into the drain path.
-      std::fprintf(stderr, "FAIL: flows %zu allocs/packet %.6f > 0.001\n",
-                   r.flows, r.allocs_per_packet());
+      std::fprintf(stderr, "FAIL: %s flows %zu allocs/packet %.6f > 0.001\n",
+                   ShapeName(r.shape), r.flows, r.allocs_per_packet());
       rc = 1;
     }
   }

@@ -67,6 +67,15 @@ class ModelAtomic {
     return Decode(old);
   }
 
+  T exchange(T v, std::memory_order order = std::memory_order_seq_cst) {
+    if (ModelRuntime* rt = ModelRuntime::Active()) {
+      return Decode(rt->AtomicExchange(&meta_, Encode(v), order));
+    }
+    uint64_t old = meta_.committed;
+    meta_.committed = Encode(v);
+    return Decode(old);
+  }
+
   bool compare_exchange_strong(
       T& expected, T desired,
       std::memory_order order = std::memory_order_seq_cst) {

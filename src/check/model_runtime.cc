@@ -244,6 +244,25 @@ uint64_t ModelRuntime::AtomicFetchAdd(ModelAtomicMeta* loc, uint64_t add,
   return old;
 }
 
+uint64_t ModelRuntime::AtomicExchange(ModelAtomicMeta* loc, uint64_t value,
+                                      std::memory_order order) {
+  (void)order;  // modeled conservatively: locked RMW = drain + acq_rel
+  if (g_active != this || g_tid < 0) {
+    uint64_t old = loc->committed;
+    loc->committed = value;
+    return old;
+  }
+  SchedulePoint();
+  Worker& w = *workers_[g_tid];
+  ++w.clock[g_tid];
+  DrainBuffer(static_cast<size_t>(g_tid));
+  uint64_t old = loc->committed;
+  ClockJoin(w.clock, loc->commit_clock);
+  loc->committed = value;
+  loc->commit_clock = w.clock;
+  return old;
+}
+
 bool ModelRuntime::AtomicCas(ModelAtomicMeta* loc, uint64_t& expected,
                              uint64_t desired, std::memory_order order) {
   (void)order;  // modeled conservatively: locked RMW = drain + acq_rel

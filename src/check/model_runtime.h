@@ -165,6 +165,8 @@ class ModelRuntime {
                    std::memory_order order);
   uint64_t AtomicFetchAdd(ModelAtomicMeta* loc, uint64_t add,
                           std::memory_order order);
+  uint64_t AtomicExchange(ModelAtomicMeta* loc, uint64_t value,
+                          std::memory_order order);
   bool AtomicCas(ModelAtomicMeta* loc, uint64_t& expected, uint64_t desired,
                  std::memory_order order);
   void Fence(std::memory_order order);

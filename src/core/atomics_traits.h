@@ -12,10 +12,12 @@
 // Production code instantiates the default, StdAtomicsTraits, which maps
 // 1:1 onto std::atomic / std::atomic_thread_fence with zero-cost no-op
 // instrumentation hooks - the compiled hot path is bit-identical to writing
-// std::atomic by hand. The model checker (src/check/model_atomic.h) provides
-// ModelCheckerTraits, which routes the *same* primitive code through
-// simulated store buffers, an exhaustive-interleaving scheduler, and
-// vector-clock race detection for the non-atomic hooks.
+// std::atomic by hand. Its futex seam (FutexWait / FutexWake, used by
+// SleeperGate) is the one raw Linux syscall in src/. The model checker
+// (src/check/model_atomic.h) provides ModelCheckerTraits, which routes the
+// *same* primitive code through simulated store buffers, an
+// exhaustive-interleaving scheduler, and vector-clock race detection for the
+// non-atomic hooks.
 //
 // Rules enforced by tools/lint_hotpath.py:
 //  * Files that declare a Traits template parameter must not name
@@ -28,6 +30,8 @@
 #define SOFTTIMER_SRC_CORE_ATOMICS_TRAITS_H_
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 
 namespace softtimer {
 
@@ -49,6 +53,16 @@ struct StdAtomicsTraits {
   // Scheduling hint for spin/retry loops in model-checked drivers; a no-op
   // on real hardware (the OS scheduler is preemptive, the model one is not).
   static void Yield() {}
+
+  // Futex seam: park on / wake a 32-bit atomic's own word with the
+  // process-private futex(2) operations. FutexWait blocks only while `word`
+  // still holds `expected` (the kernel compares and enqueues atomically),
+  // for at most `timeout` (relative, CLOCK_MONOTONIC); it may also return
+  // spuriously. FutexWake wakes at most one waiter and returns how many it
+  // woke. FutexWait is SOFTTIMER_BLOCKING (marked at its definition).
+  static void FutexWait(Atomic<uint32_t>& word, uint32_t expected,
+                        std::chrono::nanoseconds timeout);
+  static uint32_t FutexWake(Atomic<uint32_t>& word);
 };
 
 }  // namespace softtimer

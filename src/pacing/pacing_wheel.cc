@@ -7,13 +7,14 @@ namespace softtimer {
 
 namespace {
 
-// Drain sweeps prefetch this many nodes ahead of the one being processed;
-// the slot vectors are dense index arrays precisely so the sweep's memory
-// traffic is a predictable stream instead of a pointer chase. 16 nodes at
-// the ~20 ns/node sweep rate covers a full DRAM miss when the slab
-// outgrows the LLC (the 1M-flow point), and the prefetch is for WRITE:
-// every swept node is mutated (train state, deadline), so read-intent
-// would eat a second ownership miss on the store.
+// Drain and cascade sweeps keep this many node prefetches in flight ahead
+// of the node being processed; the slot vectors are dense index arrays
+// precisely so the sweep's memory traffic is a predictable stream instead
+// of a pointer chase. 16 nodes at the ~20 ns/node sweep rate covers a full
+// DRAM miss when the slab outgrows the LLC (the 1M-flow point), and the
+// prefetch is for WRITE: every swept node is mutated (train state,
+// deadline, linkage), so read-intent would eat a second ownership miss on
+// the store.
 constexpr size_t kPrefetchLookahead = 16;
 
 constexpr uint32_t RoundUpPow2(uint32_t v) {
@@ -382,6 +383,27 @@ void PacingWheel::FlushBatch(BatchSink* sink, uint64_t now_tick) {
   batch_.clear();
 }
 
+void PacingWheel::PrefetchNextDue(PrefetchCursor& pf, uint64_t last,
+                                  uint64_t now_tick, uint64_t detached_tick) {
+  // Every read is bounds-checked against the vector's current size: sink
+  // callbacks may swap-remove entries, and keep/re-bucket appends may grow
+  // (and reallocate) a vector the cursor points into. A position that has
+  // shifted under the cursor only costs a wasted hint.
+  while (pf.tick <= last) {
+    const std::vector<uint32_t>* entries = &scratch_;
+    if (pf.tick != detached_tick) {
+      const Slot& slot = slots_[SlotIndexFor(pf.tick)];
+      entries = slot.min_deadline <= now_tick ? &slot.entries : nullptr;
+    }
+    if (entries != nullptr && pf.pos < entries->size()) {
+      __builtin_prefetch(&slab_.at((*entries)[pf.pos++]), 1);
+      return;
+    }
+    pf.tick += config_.quantum_ticks;
+    pf.pos = 0;
+  }
+}
+
 // SOFTTIMER_HOT
 size_t PacingWheel::Drain(uint64_t now_tick, BatchSink* sink) {
   assert(!draining_ && "PacingWheel::Drain is not reentrant");
@@ -406,6 +428,14 @@ size_t PacingWheel::Drain(uint64_t now_tick, BatchSink* sink) {
     cursor = last - horizon + q;
   }
   size_t granted = 0;
+  // One rolling prefetch window for the whole drain: prime it with the
+  // first kPrefetchLookahead due nodes (across slot boundaries, so a drain
+  // of a handful of small slots still overlaps all of their misses), then
+  // issue one more prefetch per node swept.
+  PrefetchCursor pf{cursor, 0};
+  for (size_t k = 0; k < kPrefetchLookahead; ++k) {
+    PrefetchNextDue(pf, last, now_tick, UINT64_MAX);
+  }
   for (;; cursor += q) {
     uint32_t s = SlotIndexFor(cursor);
     Slot& slot = slots_[s];
@@ -421,8 +451,11 @@ size_t PacingWheel::Drain(uint64_t now_tick, BatchSink* sink) {
       ClearOccupied(s);
       queued_ -= scratch_.size();
       for (size_t i = 0; i < scratch_.size(); ++i) {
-        if (i + kPrefetchLookahead < scratch_.size()) {
-          __builtin_prefetch(&slab_.at(scratch_[i + kPrefetchLookahead]), 1);
+        if (pf.tick == cursor && pf.pos < scratch_.size()) {
+          // Fast path: the window is still inside the slot being swept.
+          __builtin_prefetch(&slab_.at(scratch_[pf.pos++]), 1);
+        } else {
+          PrefetchNextDue(pf, last, now_tick, cursor);
         }
         uint32_t index = scratch_[i];
         PacedFlowNode& node = slab_.at(index);
@@ -517,7 +550,17 @@ void PacingWheel::CascadeOuterSlot(uint32_t outer_index, uint64_t now_tick) {
   outer_scratch_.swap(slot.entries);
   slot.min_deadline = UINT64_MAX;
   parked_ -= outer_scratch_.size();
-  for (uint32_t index : outer_scratch_) {
+  // An outer window holds thousands of cold nodes at scale: keep the same
+  // lookahead in flight as the drain sweep instead of missing on each one.
+  const size_t n = outer_scratch_.size();
+  for (size_t i = 0; i < std::min(n, kPrefetchLookahead); ++i) {
+    __builtin_prefetch(&slab_.at(outer_scratch_[i]), 1);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchLookahead < n) {
+      __builtin_prefetch(&slab_.at(outer_scratch_[i + kPrefetchLookahead]), 1);
+    }
+    uint32_t index = outer_scratch_[i];
     PacedFlowNode& node = slab_.at(index);
     if (node.deadline < now_tick + horizon) {
       LinkNode(index, node);
@@ -575,7 +618,11 @@ void PacingWheel::RecomputeNextDue(uint64_t from_tick) {
       if (scanned >= num_slots_) {
         break;
       }
-      due = slots_[(s + adv) & slot_mask_].min_deadline;
+      const Slot& next = slots_[(s + adv) & slot_mask_];
+      due = next.min_deadline;
+      // The next drain starts with this slot's index buffer; fetch it while
+      // the shard sleeps or runs other work.
+      __builtin_prefetch(next.entries.data());
       break;
     }
   }

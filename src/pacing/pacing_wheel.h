@@ -34,6 +34,20 @@
 //    vectors and the emit batch grow to the workload high-water mark and
 //    are reused.
 //
+// Prefetch discipline. At scale the slab outgrows the LLC and the first
+// touch of each due node is a DRAM miss, so every sweep over slab nodes
+// keeps kPrefetchLookahead (pacing_wheel.cc) write-intent node prefetches
+// in flight ahead of the node it is processing:
+//  * Drain runs ONE rolling window across all of its due slots (not one
+//    per slot): a drain of a few small slots - the common shape when a
+//    wheel is drained every quantum - still overlaps every miss.
+//  * CascadeOuterSlot runs the same lookahead over the detached outer
+//    window, which holds thousands of cold nodes per cascade.
+//  * RecomputeNextDue prefetches the next due slot's entry buffer, so the
+//    next drain starts on a warm index array.
+// Prefetches are hints: the window re-reads vector sizes on every step and
+// never dereferences a node, so sink mutations under it are harmless.
+//
 // Reentrancy: BatchSink callbacks may call back into the wheel (Activate /
 // Deactivate / ReRate / Cancel / AddFlow) for any flow, including ones in
 // the batch being flushed. Nodes being drained are detached into a scratch
@@ -257,6 +271,19 @@ class PacingWheel {
   }
 
   void FlushBatch(BatchSink* sink, uint64_t now_tick);
+
+  // Position of Drain's rolling prefetch window: the next entry to prefetch
+  // is entry `pos` of the slot at quantum-aligned tick `tick`.
+  struct PrefetchCursor {
+    uint64_t tick;
+    size_t pos;
+  };
+  // Prefetches the next node of a due slot at or after `pf` (slots up to
+  // `last`) and advances `pf` past it; a no-op once the window has run off
+  // the end. The slot at `detached_tick` is read from scratch_, where the
+  // sweep has moved its entries.
+  void PrefetchNextDue(PrefetchCursor& pf, uint64_t last, uint64_t now_tick,
+                       uint64_t detached_tick);
 
   Config config_;
   uint32_t num_slots_ = 0;  // power of two

@@ -56,10 +56,10 @@ void ShardedRtHost::Stop() {
   }
   stop_.store(true, std::memory_order_seq_cst);
   for (auto& loop : loops_) {
-    // Pairs with the sleeper's sleeping-store / stop-check sequence: taking
-    // the mutex serializes with the window between its recheck and its wait.
-    std::lock_guard<std::mutex> lock(loop->m);
-    loop->cv.notify_one();
+    // The waker side of the gate, exactly like a producer's publish: either
+    // the sleeper's post-fence stop check sees the store above, or this
+    // sees its sleeping flag and wakes it.
+    loop->gate.WakeSleeper();
   }
   for (auto& loop : loops_) {
     loop->thread.join();
@@ -72,11 +72,9 @@ void ShardedRtHost::WakeShard(void* ctx, size_t shard) {
   ShardLoop& loop = *host->loops_[shard];
   // Fence + sleeping-flag read (src/rt/eventcount.h): if the sleeper's
   // pending-flag recheck missed our publish, the gate's fence orders our
-  // sleeping-load after its sleeping-store, so we observe it awake-or-
-  // committed and deliver the notify.
-  if (loop.gate.SleeperVisible()) {
-    std::lock_guard<std::mutex> lock(loop.m);
-    loop.cv.notify_one();
+  // sleeping-load after its sleeping-store, so we observe it committed and
+  // deliver the wake (unless a racing producer already claimed it).
+  if (loop.gate.WakeSleeper() != 0) {
     // ordering: stats counter; read quiesced or tolerating staleness.
     loop.wakeups.fetch_add(1, std::memory_order_relaxed);
   }
@@ -104,22 +102,23 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
       backup_bound = false;
     }
   }
-  {
-    std::unique_lock<std::mutex> lock(loop.m);
-    loop.gate.PrepareSleep();
-    // Recheck under the flag: a command published before the gate's fence is
-    // visible here; one published after it sees the sleeper flag and
-    // notifies (blocking on the mutex until our wait releases it).
-    if (!runtime_->remote_pending(shard) &&
-        // ordering: stop is rechecked every loop iteration and Stop() takes
-        // the mutex before notifying, so a relaxed read here only risks one
-        // bounded sleep, never a missed shutdown.
-        !stop_.load(std::memory_order_relaxed)) {
-      ++loop.stats.sleeps;
-      loop.cv.wait_for(lock, clock_.UntilTick(wake_tick));
+  loop.gate.PrepareSleep();
+  // Recheck under the flag: a command published before the gate's fence is
+  // visible here; one published after it sees the sleeper flag and wakes us
+  // (or flips the word first, and the futex wait returns at once).
+  if (!runtime_->remote_pending(shard) &&
+      // ordering: the gate's seq_cst fence orders this load after the flag
+      // store, and Stop() runs the waker side of the gate after its
+      // seq_cst stop store, so a relaxed read cannot miss a shutdown.
+      !stop_.load(std::memory_order_relaxed)) {
+    ++loop.stats.sleeps;
+    std::chrono::nanoseconds timeout = clock_.UntilTick(wake_tick);
+    if (timeout.count() == 0) {
+      ++loop.stats.due_parks;
     }
-    loop.gate.FinishSleep();
+    loop.gate.Wait(timeout);
   }
+  loop.gate.FinishSleep();
   if (backup_bound && clock_.NowTicks() >= wake_tick) {
     ++loop.stats.backup_checks;
     return runtime_->OnBackupInterrupt(shard);

@@ -9,11 +9,15 @@
 //
 //  * Wakeups. A cross-core schedule must not wait out the target shard's
 //    sleep, so the runtime's wake hook pokes the target thread's eventcount
-//    (atomic `sleeping` flag + condvar). Producers take the shard's mutex
-//    only when the target is actually asleep; the seq_cst fences on both
-//    sides close the classic sleep/publish race, and the backup bound makes
-//    even a hypothetical missed wakeup a bounded-lateness event, never a
-//    lost one.
+//    (SleeperGate, src/rt/eventcount.h): the shard parks on its 32-bit
+//    `sleeping` word itself with FUTEX_WAIT_PRIVATE, bounded by a relative
+//    timeout. A producer reads the word after a fence and stops there
+//    unless the shard is parked (or committed to parking); then the one
+//    producer whose exchange flips the word from 1 to 0 issues the only
+//    FUTEX_WAKE_PRIVATE for that park. No lock is taken on either side. The
+//    seq_cst fences on both sides close the classic sleep/publish race, and
+//    the backup bound makes even a hypothetical missed wakeup a
+//    bounded-lateness event, never a lost one.
 //
 //  * Shared polling work. The paper has idle CPUs poll the network instead
 //    of halting (Section 5.2; mirrored by tests/smp_test.cc). With
@@ -32,7 +36,7 @@
 //  * kIsolated - a latency-SLO dedicated core: the loop spins on
 //    trigger-state checks forever (CpuRelax() pause hint per iteration) and
 //    NEVER parks on the eventcount, so a cross-core schedule is picked up
-//    within one check gap instead of one condvar wakeup. The backup
+//    within one check gap instead of one futex wakeup. The backup
 //    interrupt is either disabled outright (the spin IS the bound) or
 //    emulated in software and armed EARLY by a calibrated compensation
 //    (CHRONOS-style: the arm-to-fire overhead of a software backup is the
@@ -55,10 +59,8 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -72,7 +74,7 @@ namespace softtimer {
 class ShardedRtHost {
  public:
   enum class IdleStrategy {
-    kSleep,     // backup-bounded condvar sleep (production default)
+    kSleep,     // backup-bounded futex park (production default)
     kBusyPoll,  // spin on trigger-state checks (lowest latency; benches)
   };
 
@@ -176,9 +178,15 @@ class ShardedRtHost {
 
   struct ShardLoopStats {
     uint64_t polls = 0;          // trigger-state checks performed by the loop
-    uint64_t sleeps = 0;         // condvar sleeps entered
+    uint64_t sleeps = 0;         // parks entered (futex waits issued)
+    // Parks whose wake tick was already <= now when the shard parked: the
+    // wait gets a zero timeout, so how long it lasts is up to the kernel's
+    // timer slack (DESIGN.md section 17).
+    uint64_t due_parks = 0;
     uint64_t backup_checks = 0;  // checks attributed to the backup interrupt
-    uint64_t wakeups = 0;        // producer pokes delivered to a sleeper
+    // Producer wakes that took this shard out of a blocking wait. At most
+    // one per park, so wakeups <= sleeps always holds.
+    uint64_t wakeups = 0;
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
     uint64_t queue_packets = 0;  // packets those invocations drained
   };
@@ -230,12 +238,10 @@ class ShardedRtHost {
 
   // Everything one shard's loop thread touches, cache-line separated.
   struct alignas(kCacheLineBytes) ShardLoop {
-    std::mutex m;
-    std::condition_variable cv;
-    // Raised while the loop thread is inside (or committed to entering) a
-    // condvar wait; producers only take the mutex when they observe it. The
-    // flag+fence protocol lives in src/rt/eventcount.h (model-checked by
-    // tests/model_check_test.cc).
+    // Raised while the loop thread is inside (or committed to entering) its
+    // park, and the futex word it parks on; producers only wake it when they
+    // observe it raised. The protocol lives in src/rt/eventcount.h
+    // (model-checked by tests/model_check_test.cc).
     SleeperGate<> gate;
     std::atomic<uint64_t> wakeups{0};
     ShardLoopStats stats;  // loop-thread writes (wakeups mirrored on read)

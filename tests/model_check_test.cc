@@ -21,6 +21,7 @@
 // acquire/release weakenings on the ring surface as happens-before data
 // races on the slot bytes.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -342,66 +343,117 @@ TEST(RemotePendingModel, FailingScheduleReplaysDeterministically) {
 
 // --- SleeperGate: the eventcount sleep/wake protocol --------------------
 //
-// Mirrors ShardedRtHost: the sleeper announces sleep then rechecks the
-// pending flag; the waker publishes work (a relaxed store - the gate's own
-// fence must order it) then checks whether a sleeper needs a notify.
-// Invariant: a sleeper that decided to block was notified; "would sleep
-// unnotified" is the lost-wakeup the fences exist to prevent.
+// Mirrors ShardedRtHost: the sleeper announces sleep, rechecks the pending
+// flag and parks on the gate's word; two wakers each publish work (a
+// relaxed store - the gate's own fence must order it) and run the gate's
+// waker side. The futex is modelled as the kernel implements it for one
+// waiter (FutexModelTraits). Invariants: a park that blocked was woken (no
+// lost wakeup), and no park received more than one wake.
+
+// The kernel's side of the gate's futex word, fresh for every execution.
+struct FutexKernelModel {
+  bool blocked = false;  // a FUTEX_WAIT found the word at `expected`
+  bool woken = false;    // a FUTEX_WAKE took that waiter out of the queue
+  int wakes_issued = 0;  // FUTEX_WAKE calls, woken or not
+};
+
+// Executions run one at a time, so one pointer names the current kernel.
+FutexKernelModel* g_futex_kernel = nullptr;
+
+struct FutexModelTraits : ModelCheckerTraits {
+  // FUTEX_WAIT blocks only while the word is `expected`: the kernel
+  // compares and enqueues as one step, so there is no scheduling point
+  // between this load and the enqueue. A blocked wait ends the sleeper's
+  // modelled life: leaving it (the wake, or the backup timeout) belongs to
+  // a later instant than any waker this execution models.
+  static void FutexWait(ModelAtomic<uint32_t>& word, uint32_t expected,
+                        std::chrono::nanoseconds /*timeout*/) {
+    if (word.load(std::memory_order_seq_cst) == expected) {
+      g_futex_kernel->blocked = true;
+    }
+  }
+
+  // FUTEX_WAKE runs some time after the exchange that elected this waker,
+  // so the sleeper may still reach (or skip) its wait in between.
+  static uint32_t FutexWake(ModelAtomic<uint32_t>& /*word*/) {
+    Yield();
+    ++g_futex_kernel->wakes_issued;
+    if (g_futex_kernel->blocked && !g_futex_kernel->woken) {
+      g_futex_kernel->woken = true;
+      return 1;
+    }
+    return 0;
+  }
+};
 
 template <typename Ordering>
-ExploreResult ExploreSleeperGate() {
+ExploreResult ExploreSleeperGate(int wakers, int preemption_bound) {
   ModelConfig cfg;
-  cfg.preemption_bound = 3;
-  return Explore(cfg, [](ModelExecution& ex) {
+  cfg.preemption_bound = preemption_bound;
+  return Explore(cfg, [wakers](ModelExecution& ex) {
     struct State {
-      SleeperGate<ModelCheckerTraits, Ordering> gate;
+      SleeperGate<FutexModelTraits, Ordering> gate;
       ModelAtomic<uint32_t> pending{0};
-      bool would_sleep = false;
-      bool notified = false;
+      FutexKernelModel kernel;
+      uint32_t woken_by_wakers = 0;
     };
     auto st = std::make_shared<State>();
+    g_futex_kernel = &st->kernel;
     ex.Thread([st] {  // sleeper (shard loop entering SleepAndDispatch)
       st->gate.PrepareSleep();
       // ordering: the recheck itself is relaxed in production too - the
       // gate's kSleepFence is what orders it after the sleeping store.
       if (st->pending.load(std::memory_order_relaxed) == 0) {
-        // Enters cv.wait: the flag stays up until a notify (or the backup
-        // timeout) ends the wait, so FinishSleep belongs to a later instant
-        // than any waker this execution models - eliding it is what keeps
-        // "waker saw sleeping==1" equivalent to "notify delivered".
-        st->would_sleep = true;
+        st->gate.Wait(std::chrono::milliseconds(1));
+        if (!st->kernel.blocked) {
+          st->gate.FinishSleep();  // a waker flipped the word: no block
+        }
       } else {
         st->gate.FinishSleep();  // decided not to block after all
       }
     });
-    ex.Thread([st] {  // waker (producer after a cross-core publish)
-      st->pending.store(1, std::memory_order_relaxed);
-      if (st->gate.SleeperVisible()) {
-        st->notified = true;  // would take the mutex and notify here
-      }
-    });
+    for (int w = 0; w < wakers; ++w) {
+      ex.Thread([st] {  // waker (producer after a cross-core publish)
+        st->pending.store(1, std::memory_order_relaxed);
+        st->woken_by_wakers += st->gate.WakeSleeper();
+      });
+    }
     ex.Finally([st] {
-      MODEL_CHECK(!(st->would_sleep && !st->notified));  // no lost wakeup
+      const FutexKernelModel& k = st->kernel;
+      MODEL_CHECK(!(k.blocked && !k.woken));  // no lost wakeup
+      MODEL_CHECK(k.wakes_issued <= 1);       // at most one wake per park
+      MODEL_CHECK(st->woken_by_wakers == (k.woken ? 1u : 0u));
     });
   });
 }
 
+// One waker at preemption bound 3 covers the lost-wakeup race (and keeps the
+// mutation checks quick); two racing wakers at bound 2 (~10k executions)
+// cover the exchange that elects a single FUTEX_WAKE per park.
 TEST(SleeperGateModel, ShippedOrderingNeverLosesAWakeup) {
-  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering>();
+  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering>(1, 3);
+  EXPECT_TRUE(r.ok) << r.Summary();
+  EXPECT_TRUE(r.exhausted) << r.Summary();
+}
+
+TEST(SleeperGateModel, RacingWakersDeliverAtMostOneWakePerPark) {
+  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering>(2, 2);
   EXPECT_TRUE(r.ok) << r.Summary();
   EXPECT_TRUE(r.exhausted) << r.Summary();
 }
 
 TEST(SleeperGateModel, MutationWeakSleepFenceLosesAWakeup) {
-  ExploreResult r = ExploreSleeperGate<WeakSleepFenceOrdering>();
+  ExploreResult r = ExploreSleeperGate<WeakSleepFenceOrdering>(1, 3);
   ASSERT_FALSE(r.ok) << r.Summary();
-  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
+  EXPECT_NE(r.failure.find("k.blocked && !k.woken"), std::string::npos)
+      << r.Summary();
 }
 
 TEST(SleeperGateModel, MutationWeakWakeFenceLosesAWakeup) {
-  ExploreResult r = ExploreSleeperGate<WeakWakeFenceOrdering>();
+  ExploreResult r = ExploreSleeperGate<WeakWakeFenceOrdering>(1, 3);
   ASSERT_FALSE(r.ok) << r.Summary();
-  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
+  EXPECT_NE(r.failure.find("k.blocked && !k.woken"), std::string::npos)
+      << r.Summary();
 }
 
 // --- QueueClaim / NextDueGate: the M-on-N queue claim protocol ----------

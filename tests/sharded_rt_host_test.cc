@@ -62,6 +62,60 @@ TEST(ShardedRtHostTest, CrossCoreEventFiresWhileShardsSleep) {
   EXPECT_GT(loop.polls, 0u);
 }
 
+// Two producers race to wake one parked shard. Only the producer whose
+// exchange flips the gate word from 1 to 0 issues the futex wake, and a
+// wake is counted only when it takes the shard out of a blocking wait, so
+// however the producers interleave there is at most one counted wakeup per
+// park.
+TEST(ShardedRtHostTest, RacingProducersNeverCountMoreWakeupsThanParks) {
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 2;
+  cfg.interrupt_clock_hz = 100;  // 10 ms backup: wakes, not timeouts, end parks
+  ShardedRtHost host(cfg);
+  host.Start();
+  constexpr int kPerProducer = 2'000;
+  std::atomic<uint64_t> scheduled{0};
+  std::atomic<uint64_t> fired{0};
+  std::atomic<bool> go{false};
+  auto produce = [&] {
+    auto token = host.RegisterProducer();
+    while (!go.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kPerProducer; ++i) {
+      SoftEventId id = host.runtime().ScheduleCrossCoreWithRetry(
+          token, 1, 1 + i % 20, [&](const SoftTimerFacility::FireInfo&) {
+            fired.fetch_add(1, std::memory_order_relaxed);
+          });
+      if (id.valid()) {
+        scheduled.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (i % 8 == 0) {
+        // Let the shard drain and park again, so the next bursts from both
+        // producers land on a sleeper.
+        std::this_thread::sleep_for(std::chrono::microseconds(30));
+      }
+    }
+  };
+  std::thread a(produce);
+  std::thread b(produce);
+  go.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fired.load(std::memory_order_relaxed) <
+             scheduled.load(std::memory_order_relaxed) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  host.Stop();
+  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(1);
+  EXPECT_EQ(fired.load(), scheduled.load());
+  EXPECT_GT(loop.sleeps, 0u);
+  EXPECT_LE(loop.wakeups, loop.sleeps);
+  EXPECT_LE(loop.due_parks, loop.sleeps);
+}
+
 // One rx queue shared by every shard through queue_work: the paper's "idle
 // CPUs poll the network" (Section 5.2) on the M-on-N poller with M = 1.
 // Drain sleeps briefly so overlapping drains would be caught.
