@@ -55,7 +55,6 @@ void SoftTimerFacility::DispatchFired(const TimerFired& fired,
   info.handler_tag = p.tag;
   ++stats_.dispatches;
   ++stats_.dispatches_by_source[static_cast<size_t>(dispatch_source_)];
-  stats_.lateness_ticks.Add(static_cast<double>(info.lateness_ticks()));
   // A non-zero cookie on the no-policy path marks a runtime-tracked event;
   // tell the owner (before the handler, so a handler rescheduling through
   // the runtime sees a consistent table) that this cookie is now dead.

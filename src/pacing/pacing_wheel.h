@@ -22,14 +22,15 @@
 //    still in the future. Lateness is bounded by the driving event's
 //    dispatch bound (the facility's T < actual < T + X + 1; the backup
 //    interrupt enforces the high side), not by the quantum.
-//  * Deadlines farther than one horizon (quantum * num_slots) park in a
-//    hierarchical overflow ring (mirroring src/timer/hierarchical wheel
-//    cascading): a coarse outer ring whose slots each span one inner
-//    horizon. When the drain cursor enters an outer window, its entries
-//    cascade into the inner wheel (they are then at most one lap out) and
-//    later-lap entries re-park. Parked deadlines are never clamped and
-//    never fire early; Stats::overflow_parks / overflow_cascades /
-//    overflow_reparks count the traffic and Stats::horizon_clamps stays 0.
+//  * Deadlines farther than one horizon (quantum * num_slots) park in an
+//    overflow ring: a coarse outer ring whose slots each span one inner
+//    horizon (Config::overflow_slots of them per lap; farther deadlines
+//    share a slot with nearer laps). When the drain cursor enters an outer
+//    window, its entries cascade into the inner wheel (they are then at
+//    most one lap out) and later-lap entries re-park. Parked deadlines are
+//    never clamped and never fire early; Stats::overflow_parks /
+//    overflow_cascades / overflow_reparks count the traffic and
+//    Stats::horizon_clamps stays 0.
 //  * Steady state allocates nothing: nodes live in a TimerSlab, slot
 //    vectors and the emit batch grow to the workload high-water mark and
 //    are reused.

@@ -80,7 +80,7 @@ void ShardedRtHost::WakeShard(void* ctx, size_t shard) {
   }
 }
 
-size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
+void ShardedRtHost::SleepAndDispatch(size_t shard) {
   ShardLoop& loop = *loops_[shard];
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
   uint64_t wake_tick = clock_.NowTicks() + facility.ticks_per_backup_interval();
@@ -121,9 +121,10 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
   loop.gate.FinishSleep();
   if (backup_bound && clock_.NowTicks() >= wake_tick) {
     ++loop.stats.backup_checks;
-    return runtime_->OnBackupInterrupt(shard);
+    runtime_->OnBackupInterrupt(shard);
+    return;
   }
-  return runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+  runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
 }
 
 void ShardedRtHost::RunShard(size_t shard) {
@@ -157,9 +158,6 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (stop_.load(std::memory_order_relaxed)) {
       break;
     }
-    if (config_.idle_strategy == IdleStrategy::kBusyPoll) {
-      continue;
-    }
     SleepAndDispatch(shard);
   }
 }
@@ -171,8 +169,8 @@ void ShardedRtHost::LatenessProbe(void* ctx,
   uint64_t lateness = info.lateness_ticks();
   loop->lateness_raw.Record(lateness);
   if (!loop->isolated) {
-    // Normal profile: no steal detection, every dispatch is clean.
-    loop->lateness_clean.Record(lateness);
+    // Normal profile: no steal detection, every dispatch is clean, so the
+    // raw histogram doubles as the clean one (shard_lateness_clean).
     if (loop->slo_budget != 0 && lateness > loop->slo_budget) {
       ++loop->iso.slo_violations;
     }
@@ -232,27 +230,22 @@ uint64_t ShardedRtHost::CalibrateSpinGap() const {
 
 void ShardedRtHost::RunShardIsolated(size_t shard) {
   ShardLoop& loop = *loops_[shard];
-  const ShardProfileConfig& prof = profiles_[shard];
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
   // Startup calibration (CHRONOS-style cost model): the arm-to-fire overhead
   // of the software backup is one spin check gap, so measure it and derive
-  // the two knobs from it unless the profile pins them. The steal threshold
-  // is a generous multiple of the median gap - far above scheduling jitter,
-  // far below any real preemption - and the compensation must be at least
-  // the threshold so that any backup fired late WITHOUT a detected steal
-  // would contradict the threshold, making backup_true_late structurally
-  // zero under kCompensated.
+  // both the steal threshold and the compensation from it. The steal
+  // threshold is a generous multiple of the median gap - far above
+  // scheduling jitter, far below any real preemption - and the compensation
+  // must be at least the threshold so that any backup fired late WITHOUT a
+  // detected steal would contradict the threshold, making backup_true_late
+  // structurally zero under kCompensated.
   uint64_t median_gap = CalibrateSpinGap();
   uint64_t steal_threshold =
-      prof.steal_threshold_ticks != 0
-          ? prof.steal_threshold_ticks
-          : std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
+      std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
   uint64_t backup_period = facility.ticks_per_backup_interval();
   uint64_t compensation = 0;
-  if (prof.backup == IsolatedBackup::kCompensated) {
-    compensation = prof.backup_compensation_ticks != 0
-                       ? prof.backup_compensation_ticks
-                       : std::max<uint64_t>(steal_threshold, 16);
+  if (profiles_[shard].backup == IsolatedBackup::kCompensated) {
+    compensation = std::max<uint64_t>(steal_threshold, 16);
     // A compensation rivaling the period would make the backup fire
     // constantly; clamp and let steal classification absorb the rest.
     compensation = std::min(compensation, backup_period / 2);
@@ -291,7 +284,7 @@ void ShardedRtHost::RunShardIsolated(size_t shard) {
     loop.check_tainted = steal;
     ++loop.stats.polls;
     ++loop.iso.spin_checks;
-    if (prof.backup != IsolatedBackup::kDisabled && now >= backup_arm) {
+    if (now >= backup_arm) {
       ++loop.stats.backup_checks;
       ++loop.iso.backup_fires;
       if (now <= backup_deadline) {
@@ -338,7 +331,8 @@ const LatencyHistogram& ShardedRtHost::shard_lateness_raw(size_t shard) const {
 
 const LatencyHistogram& ShardedRtHost::shard_lateness_clean(
     size_t shard) const {
-  return loops_[shard]->lateness_clean;
+  const ShardLoop& loop = *loops_[shard];
+  return loop.isolated ? loop.lateness_clean : loop.lateness_raw;
 }
 
 }  // namespace softtimer

@@ -1,11 +1,14 @@
-// Multi-core real-time host for ShardedSoftTimerRuntime: one trigger-loop
-// thread per shard, each playing the role the paper assigns to a CPU.
+// Real-time host for ShardedSoftTimerRuntime: one trigger-loop thread per
+// shard, each playing the role the paper assigns to a CPU. A one-shard host
+// is the single-core case: the facility on std::chrono::steady_clock inside
+// an ordinary user-space loop (examples/realtime_host.cpp).
 //
-// Every shard thread alternates trigger-state checks with backup-bounded
-// sleeps, exactly like RtSoftTimerHost does for one core: a sleep never
-// extends past the earlier of the shard's next soft-event deadline and one
-// backup period, so the paper's T < actual < T + X + 1 bound holds per
-// shard. Two things are multi-core specific:
+// Every normal shard thread alternates trigger-state checks with
+// backup-bounded sleeps: a sleep never extends past the earlier of the
+// shard's next soft-event deadline and one backup period, so the paper's
+// T < actual < T + X + 1 bound holds per shard. Per-iteration application
+// work (a DPDK-style loop's I/O batch) goes in Config::shard_tick, right
+// after the trigger-state check. Two things are multi-core specific:
 //
 //  * Wakeups. A cross-core schedule must not wait out the target shard's
 //    sleep, so the runtime's wake hook pokes the target thread's eventcount
@@ -37,16 +40,16 @@
 //    trigger-state checks forever (CpuRelax() pause hint per iteration) and
 //    NEVER parks on the eventcount, so a cross-core schedule is picked up
 //    within one check gap instead of one futex wakeup. The backup
-//    interrupt is either disabled outright (the spin IS the bound) or
-//    emulated in software and armed EARLY by a calibrated compensation
-//    (CHRONOS-style: the arm-to-fire overhead of a software backup is the
-//    loop's check gap, measured at startup, and subtracting it from the
-//    backup deadline makes on-time backup fires structural rather than
-//    lucky). Because this repo's CI runs on shared 1-core VMs where the
-//    hypervisor steals the CPU for multi-microsecond stretches, the loop
-//    also detects preemption (clock-read gap above a steal threshold) and
-//    keeps TWO dispatch-lateness histograms: `raw` (every dispatch) and
-//    `clean` (dispatches not adjacent to a detected steal). SLO gates read
+//    interrupt is emulated in software, and under kCompensated it is armed
+//    EARLY by a calibrated compensation (CHRONOS-style: the arm-to-fire
+//    overhead of a software backup is the loop's check gap, measured at
+//    startup, and subtracting it from the backup deadline makes on-time
+//    backup fires structural rather than lucky). Because this repo's CI
+//    runs on shared 1-core VMs where the hypervisor steals the CPU for
+//    multi-microsecond stretches, the loop also detects preemption
+//    (clock-read gap above a steal threshold) and keeps TWO
+//    dispatch-lateness histograms: `raw` (every dispatch) and `clean`
+//    (dispatches not adjacent to a detected steal). SLO gates read
 //    the clean histogram - the same CPU-attribution methodology as the
 //    bench suite's CPU-time-per-op numbers - while raw is always reported
 //    alongside.
@@ -73,11 +76,6 @@ namespace softtimer {
 
 class ShardedRtHost {
  public:
-  enum class IdleStrategy {
-    kSleep,     // backup-bounded futex park (production default)
-    kBusyPoll,  // spin on trigger-state checks (lowest latency; benches)
-  };
-
   enum class ShardProfile {
     kNormal,    // trigger checks + backup-bounded sleeps (default)
     kIsolated,  // dedicated spinning core, never sleeps on the eventcount
@@ -88,7 +86,6 @@ class ShardedRtHost {
   // "arming" means picking the tick at which the loop performs a
   // kBackupIntr-attributed check for the backup nominally due at D.
   enum class IsolatedBackup {
-    kDisabled,       // no backup at all: the spin is the bound
     kUncompensated,  // arm at D: fires one check gap AFTER D, i.e. late
     kCompensated,    // arm at D - compensation: on-time unless preempted
   };
@@ -103,14 +100,6 @@ class ShardedRtHost {
     // (a normal shard may carry an SLO too; every dispatch counts as clean
     // there since only the isolated loop performs steal detection).
     uint64_t slo_lateness_ticks = 0;
-    // Ticks subtracted from the backup deadline under kCompensated.
-    // 0 = auto-calibrate: derived from the measured spin check gap at shard
-    // startup so the compensation covers the arm-to-fire overhead.
-    uint64_t backup_compensation_ticks = 0;
-    // Clock-read gap above which an isolated check is attributed to
-    // hypervisor/OS preemption and its dispatches kept out of the clean
-    // histogram. 0 = auto (a generous multiple of the calibrated gap).
-    uint64_t steal_threshold_ticks = 0;
   };
 
   struct Config {
@@ -118,7 +107,6 @@ class ShardedRtHost {
     uint64_t measure_hz = 1'000'000;
     uint64_t interrupt_clock_hz = 1'000;  // backup bound: 1 ms
     TimerQueueKind queue_kind = TimerQueueKind::kHashedWheel;
-    IdleStrategy idle_strategy = IdleStrategy::kSleep;
     size_t max_producers = 8;
     size_t ring_capacity = 1024;
     // Shared polling work (e.g. the network poll loop): M-on-N claimed
@@ -147,8 +135,8 @@ class ShardedRtHost {
     std::function<void(size_t shard)> shard_tick;
     // Per-shard profiles. Empty = every shard runs kNormal. Otherwise must
     // have exactly num_shards entries; mixed hosts (isolated shard 0 beside
-    // normal shard 1) are the intended use. Isolated shards ignore
-    // idle_strategy and never serve queue_work - the core is dedicated.
+    // normal shard 1) are the intended use. Isolated shards never park and
+    // never serve queue_work - the core is dedicated.
     std::vector<ShardProfileConfig> shard_profiles;
   };
 
@@ -210,18 +198,19 @@ class ShardedRtHost {
     uint64_t backup_true_late = 0;  // fired past D with no steal detected
     uint64_t backup_steal_late = 0; // fired past D because of a steal
     uint64_t slo_violations = 0;    // clean dispatches over the SLO budget
-    // Effective knobs after startup auto-calibration, for reporting.
+    // Derived from the startup calibration alone, for reporting.
     uint64_t calibrated_gap_ticks = 0;   // median spin check gap
-    uint64_t steal_threshold_ticks = 0;
-    uint64_t compensation_ticks = 0;
+    uint64_t steal_threshold_ticks = 0;  // 32x the median gap
+    uint64_t compensation_ticks = 0;     // 0 under kUncompensated
   };
   IsolatedShardStats isolated_shard_stats(size_t shard) const;
 
   // Dispatch-lateness histograms (FireInfo::lateness_ticks per dispatched
-  // handler), fed by a facility lateness probe on EVERY shard. On a normal
-  // shard raw == clean; on an isolated shard, clean excludes steal-adjacent
-  // dispatches (see header comment). Written by the shard's loop thread:
-  // read after Stop(), or from the loop thread itself (shard_tick hooks).
+  // handler), fed by a facility lateness probe on EVERY shard. A normal
+  // shard records each dispatch once and its clean histogram IS its raw
+  // one; an isolated shard's clean excludes steal-adjacent dispatches (see
+  // header comment). Written by the shard's loop thread: read after Stop(),
+  // or from the loop thread itself (shard_tick hooks).
   const LatencyHistogram& shard_lateness_raw(size_t shard) const;
   const LatencyHistogram& shard_lateness_clean(size_t shard) const;
 
@@ -253,7 +242,7 @@ class ShardedRtHost {
     size_t pending_clean_count = 0;
     std::array<uint64_t, kCleanBufferCap> pending_clean{};
     LatencyHistogram lateness_raw;
-    LatencyHistogram lateness_clean;
+    LatencyHistogram lateness_clean;  // isolated shards only
     std::thread thread;
   };
 
@@ -269,9 +258,8 @@ class ShardedRtHost {
   // Flush (clean trailing gap) or suppress (steal trailing gap) the
   // dispatches buffered during the previous isolated check.
   void ResolvePendingClean(ShardLoop& loop, bool trailing_steal);
-  // Backup-bounded sleep for `shard`; returns handlers fired by the check
-  // performed on wakeup.
-  size_t SleepAndDispatch(size_t shard);
+  // Backup-bounded sleep for `shard`, then the check it was bounded for.
+  void SleepAndDispatch(size_t shard);
 
   Config config_;
   MonotonicClockSource clock_;

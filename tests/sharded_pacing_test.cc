@@ -193,7 +193,12 @@ TEST(ShardedPacingTest, RtHostShardsPaceConcurrently) {
 
   ShardedRtHost::Config cfg;
   cfg.num_shards = 2;
-  cfg.idle_strategy = ShardedRtHost::IdleStrategy::kBusyPoll;
+  // Both shards spin (the isolated profile), so the wheel events and the
+  // cross-core re-rate are picked up without parks or wakeups.
+  cfg.shard_profiles.resize(2);
+  for (auto& profile : cfg.shard_profiles) {
+    profile.profile = ShardedRtHost::ShardProfile::kIsolated;
+  }
   cfg.shard_setup = [&](size_t shard) {
     for (int i = 0; i < 16; ++i) {
       PacedFlowId id = pacing_ptr->AddFlowOnShard(

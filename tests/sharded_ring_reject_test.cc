@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -135,46 +136,67 @@ TEST(ShardedRingRejectTest, RetryHelperSurvivesContendedRingCrossThread) {
   ShardedSoftTimerRuntime rt(&clock, Cfg(16));
 
   std::atomic<uint64_t> fired{0};
+  // Producer state, published for the consumer's bounded wait and for the
+  // failure messages below. The producer makes no fatal assertion: every
+  // exit path raises producer_done, so a producer failure ends the
+  // consumer's loop instead of hanging it.
   std::atomic<bool> producer_done{false};
+  std::atomic<bool> abandon{false};  // consumer gave up waiting
+  std::atomic<bool> token_valid{false};
+  std::atomic<int> ops_done{0};
   uint64_t landed = 0;
+  uint64_t retry_exhausted = 0;
+  uint64_t ring_full_rejects = 0;
 
   std::thread producer([&] {
     auto token = rt.RegisterProducer();
-    ASSERT_TRUE(token.valid());
-    CrossCoreRetry retry;
-    retry.max_attempts = 64;  // generous: the consumer is actively draining
-    for (int op = 0; op < kOps; ++op) {
-      SoftEventId id = rt.ScheduleCrossCoreWithRetry(
-          token, 0, /*delta_ticks=*/0,
-          [&fired](const SoftTimerFacility::FireInfo&) {
-            fired.fetch_add(1, std::memory_order_relaxed);
-          },
-          /*handler_tag=*/0, retry);
-      if (id.valid()) {
-        ++landed;
+    if (token.valid()) {
+      token_valid.store(true, std::memory_order_relaxed);
+      CrossCoreRetry retry;
+      retry.max_attempts = 64;  // generous: the consumer is actively draining
+      for (int op = 0; op < kOps && !abandon.load(std::memory_order_relaxed);
+           ++op) {
+        SoftEventId id = rt.ScheduleCrossCoreWithRetry(
+            token, 0, /*delta_ticks=*/0,
+            [&fired](const SoftTimerFacility::FireInfo&) {
+              fired.fetch_add(1, std::memory_order_relaxed);
+            },
+            /*handler_tag=*/0, retry);
+        if (id.valid()) {
+          ++landed;
+        }
+        ops_done.store(op + 1, std::memory_order_relaxed);
       }
+      retry_exhausted = token.retry_exhausted();
+      ring_full_rejects = token.ring_full_rejects();
     }
-    // Conservation: every op either landed or is counted as a give-up.
-    EXPECT_EQ(landed + token.retry_exhausted(),
-              static_cast<uint64_t>(kOps));
-    // A 16-slot ring against a 20k burst must have seen backpressure.
-    EXPECT_GT(token.ring_full_rejects(), 0u);
     producer_done.store(true, std::memory_order_release);
   });
 
   // Consumer: the shard owner drains at trigger states until the producer
-  // finishes, then a final drain sweeps the tail.
-  while (!producer_done.load(std::memory_order_acquire)) {
+  // finishes (or the deadline passes), then a final drain sweeps the tail.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!producer_done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
     clock.Advance(1);
     rt.OnTriggerState(0, TriggerSource::kSyscall);
   }
+  bool finished = producer_done.load(std::memory_order_acquire);
+  abandon.store(true, std::memory_order_relaxed);  // bounds the join
   producer.join();
+  ASSERT_TRUE(finished) << "producer still running at the deadline after "
+                        << ops_done.load() << " of " << kOps << " ops";
+  ASSERT_TRUE(token_valid.load()) << "producer could not register";
   // Settle: drain the tail commands, then advance past their (quantum-
   // rounded) deadlines and sweep again.
   rt.OnTriggerState(0, TriggerSource::kSyscall);
   clock.Advance(64);
   rt.OnTriggerState(0, TriggerSource::kSyscall);
 
+  // Conservation: every op either landed or is counted as a give-up.
+  EXPECT_EQ(landed + retry_exhausted, static_cast<uint64_t>(kOps));
+  // A 16-slot ring against a 10k burst must have seen backpressure.
+  EXPECT_GT(ring_full_rejects, 0u);
   EXPECT_EQ(fired.load(), landed);
 }
 

@@ -50,6 +50,10 @@ TEST(ShardedStressTest, ConcurrentScheduleCancelFire) {
 
   std::atomic<uint64_t> fired{0};
   std::atomic<uint64_t> push_ok{0};
+  // Producers that could not register. A producer makes no fatal assertion
+  // of its own (that would only end its lambda); the test checks this count
+  // after every thread has joined.
+  std::atomic<int> unregistered{0};
   // Ids observed by any producer, for cross-thread stale-cancel attempts.
   std::mutex seen_mutex;
   std::vector<SoftEventId> seen;
@@ -58,7 +62,10 @@ TEST(ShardedStressTest, ConcurrentScheduleCancelFire) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       auto token = host.RegisterProducer();
-      ASSERT_TRUE(token.valid());
+      if (!token.valid()) {
+        unregistered.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
       Xorshift rng(p + 1);
       std::vector<SoftEventId> mine;
       for (int op = 0; op < kOpsPerProducer; ++op) {
@@ -100,6 +107,7 @@ TEST(ShardedStressTest, ConcurrentScheduleCancelFire) {
   for (auto& t : producers) {
     t.join();
   }
+  ASSERT_EQ(unregistered.load(), 0) << "of " << kProducers << " producers";
 
   // Everything pushed either fires or is cancelled; wait (bounded) for the
   // shards to drain the tail. Only atomics may be polled while the shard
@@ -138,13 +146,14 @@ TEST(ShardedStressTest, ConcurrentScheduleCancelFire) {
 
 TEST(ShardedStressTest, PublishDrainRaceNeverStrandsACommand) {
   // Regression stress for the drain-sweep store-load fence (DrainRemote):
-  // a busy-polling owner races a drain sweep against every publish. Without
-  // the fence pairing, the owner's pending-flag clear can overwrite the
-  // producer's set while the sweep's ring reads miss the pushed command,
-  // stranding it with the flag down - the ping-pong below then never sees
-  // its event fire and times out.
+  // a spinning (isolated-profile) owner races a drain sweep against every
+  // publish. Without the fence pairing, the owner's pending-flag clear can
+  // overwrite the producer's set while the sweep's ring reads miss the
+  // pushed command, stranding it with the flag down - the ping-pong below
+  // then never sees its event fire and times out.
   ShardedRtHost::Config cfg = StressCfg(1);
-  cfg.idle_strategy = ShardedRtHost::IdleStrategy::kBusyPoll;
+  cfg.shard_profiles.resize(1);
+  cfg.shard_profiles[0].profile = ShardedRtHost::ShardProfile::kIsolated;
   ShardedRtHost host(cfg);
   host.Start();
   auto token = host.RegisterProducer();

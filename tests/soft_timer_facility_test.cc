@@ -283,7 +283,6 @@ TEST_F(FacilityFixture, StatsAccounting) {
   EXPECT_EQ(s.dispatches, 2u);
   EXPECT_EQ(s.checks, 2u);
   EXPECT_EQ(s.dispatches_by_source[static_cast<size_t>(TriggerSource::kIpIntr)], 2u);
-  EXPECT_EQ(s.lateness_ticks.count(), 2u);
 }
 
 TEST_F(FacilityFixture, DispatchObserverRunsBeforeHandler) {
