@@ -14,11 +14,18 @@
 //                         TimerQueue kind and write machine-readable JSON
 //                         (ns/op and allocs/op) to PATH, alongside the
 //                         facility-level numbers recorded from the tree
-//                         before the zero-allocation rework.
+//                         before the zero-allocation rework. The process
+//                         pins itself to one CPU it may run on and times
+//                         every row kHotpathRepeats times, writing the
+//                         median with the min and max of those runs.
 //   --hotpath-iters=N     iterations per measured operation (default 200000).
 
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -136,6 +143,49 @@ struct HotpathSample {
   OpSample update;
   OpSample update_emulated;
 };
+
+// One JSON row per HotpathSample field, in output order.
+struct HotpathRow {
+  const char* name;
+  OpSample HotpathSample::*field;
+};
+constexpr HotpathRow kHotpathRows[] = {
+    {"schedule", &HotpathSample::schedule},
+    {"cancel", &HotpathSample::cancel},
+    {"nothing_due_check", &HotpathSample::nothing_due_check},
+    {"dispatch_cycle", &HotpathSample::dispatch_cycle},
+    {"burst_dispatch_read_every_event",
+     &HotpathSample::burst_dispatch_read_every_event},
+    {"burst_dispatch_amortized_reads",
+     &HotpathSample::burst_dispatch_amortized_reads},
+    {"update", &HotpathSample::update},
+    {"update_emulated", &HotpathSample::update_emulated},
+};
+
+// Runs of MeasureHotpath per queue kind; each row reports their median and
+// spread, so a single noisy run cannot move the committed figure.
+constexpr size_t kHotpathRepeats = 5;
+
+// Pins the process to the highest-numbered CPU its affinity mask allows, so
+// every row runs on one core instead of wherever the scheduler puts it.
+// Returns that CPU, or -1 if the mask could not be read or set.
+int PinToOneAllowedCpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    return -1;
+  }
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) {
+      continue;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return sched_setaffinity(0, sizeof(one), &one) == 0 ? cpu : -1;
+  }
+  return -1;
+}
 
 // Times `iters` runs of `body`, returning wall ns/op and probe allocs/op.
 template <typename F>
@@ -279,14 +329,8 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
   return out;
 }
 
-void WriteOp(FILE* f, const char* name, const OpSample& s, const char* trailer) {
-  std::fprintf(f,
-               "      \"%s_ns\": %.2f,\n"
-               "      \"%s_allocs_per_op\": %.3f%s\n",
-               name, s.ns_per_op, name, s.allocs_per_op, trailer);
-}
-
 int WriteHotpathJson(const std::string& path, size_t iters) {
+  int pinned_cpu = PinToOneAllowedCpu();
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -300,7 +344,12 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
                "normalized per event, with one clock read per event vs the "
                "amortized default (one per 64 dispatches); update is one "
                "RescheduleSoftEvent over a 4096-event live pool, "
-               "update_emulated the equivalent cancel+schedule pair\",\n");
+               "update_emulated the equivalent cancel+schedule pair; each "
+               "<row>_ns is the median of %zu runs pinned to pinned_cpu "
+               "(-1: unpinned), <row>_ns_min/_max their spread, "
+               "<row>_allocs_per_op the largest run's\",\n",
+               kHotpathRepeats);
+  std::fprintf(f, "  \"pinned_cpu\": %d,\n", pinned_cpu);
   // Facility-level numbers measured on this machine immediately before the
   // typed-node / slab / fast-gate rework (default hashed-wheel queue), kept
   // for comparison: the nothing-due check must stay >= 2x faster than this.
@@ -319,29 +368,36 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
   constexpr size_t kNumKinds = std::size(kAllTimerQueueKinds);
   for (size_t k = 0; k < kNumKinds; ++k) {
     const TimerQueueKind kind = kAllTimerQueueKinds[k];
-    HotpathSample s = MeasureHotpath(kind, iters);
+    std::array<HotpathSample, kHotpathRepeats> runs;
+    for (HotpathSample& run : runs) {
+      run = MeasureHotpath(kind, iters);
+    }
     std::fprintf(f, "    \"%s\": {\n", TimerQueueKindName(kind));
-    WriteOp(f, "schedule", s.schedule, ",");
-    WriteOp(f, "cancel", s.cancel, ",");
-    WriteOp(f, "nothing_due_check", s.nothing_due_check, ",");
-    WriteOp(f, "dispatch_cycle", s.dispatch_cycle, ",");
-    WriteOp(f, "burst_dispatch_read_every_event",
-            s.burst_dispatch_read_every_event, ",");
-    WriteOp(f, "burst_dispatch_amortized_reads",
-            s.burst_dispatch_amortized_reads, ",");
-    WriteOp(f, "update", s.update, ",");
-    WriteOp(f, "update_emulated", s.update_emulated, "");
+    std::printf("%-12s", TimerQueueKindName(kind));
+    constexpr size_t kNumRows = std::size(kHotpathRows);
+    for (size_t r = 0; r < kNumRows; ++r) {
+      const HotpathRow& row = kHotpathRows[r];
+      std::array<double, kHotpathRepeats> ns;
+      double allocs = 0;
+      for (size_t i = 0; i < kHotpathRepeats; ++i) {
+        const OpSample& op = runs[i].*row.field;
+        ns[i] = op.ns_per_op;
+        allocs = std::max(allocs, op.allocs_per_op);
+      }
+      std::sort(ns.begin(), ns.end());
+      double median = ns[kHotpathRepeats / 2];
+      std::fprintf(f,
+                   "      \"%s_ns\": %.2f,\n"
+                   "      \"%s_ns_min\": %.2f,\n"
+                   "      \"%s_ns_max\": %.2f,\n"
+                   "      \"%s_allocs_per_op\": %.3f%s\n",
+                   row.name, median, row.name, ns.front(), row.name,
+                   ns.back(), row.name, allocs, r + 1 < kNumRows ? "," : "");
+      std::printf("  %s %.1f [%.1f-%.1f] ns", row.name, median, ns.front(),
+                  ns.back());
+    }
+    std::printf("\n");
     std::fprintf(f, "    }%s\n", k + 1 < kNumKinds ? "," : "");
-    std::printf("%-12s schedule %6.1f ns  cancel %6.1f ns  nothing-due %5.2f ns "
-                "(allocs/op %.3f)  dispatch-cycle %6.1f ns  "
-                "burst/event %5.1f -> %5.1f ns  "
-                "update %5.1f ns vs pair %5.1f ns\n",
-                TimerQueueKindName(kind), s.schedule.ns_per_op,
-                s.cancel.ns_per_op, s.nothing_due_check.ns_per_op,
-                s.nothing_due_check.allocs_per_op, s.dispatch_cycle.ns_per_op,
-                s.burst_dispatch_read_every_event.ns_per_op,
-                s.burst_dispatch_amortized_reads.ns_per_op,
-                s.update.ns_per_op, s.update_emulated.ns_per_op);
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);

@@ -61,16 +61,13 @@ void SoftTimerFacility::DispatchFired(const TimerFired& fired,
   if (p.user_data != 0 && event_retired_fn_ != nullptr && policy_ == nullptr) {
     event_retired_fn_(event_retired_ctx_, p.user_data);
   }
-  if (lateness_probe_fn_ != nullptr) {
-    lateness_probe_fn_(lateness_probe_ctx_, info);
-  }
-  if (dispatch_observer_) {
-    dispatch_observer_(info);
+  uint64_t cost = 0;
+  if (dispatch_probe_fn_ != nullptr) {
+    cost = dispatch_probe_fn_(dispatch_probe_ctx_, info);
   }
   handler(info);
   if (policy_) {
     ++dispatched_this_check_;
-    uint64_t cost = dispatch_cost_probe_ ? dispatch_cost_probe_(info) : 0;
     policy_->OnDispatchCost(p.tag, cost);
   }
 }

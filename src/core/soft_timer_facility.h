@@ -21,7 +21,7 @@
 // repository, machine::Kernel) is responsible for (a) calling
 // OnTriggerState() at every trigger state, (b) calling OnBackupInterrupt()
 // from the periodic timer interrupt, and (c) charging whatever per-check and
-// per-dispatch costs apply via the observer hooks.
+// per-dispatch costs apply via the dispatch probe.
 //
 // Hot-path anatomy (see DESIGN.md): trigger-state checks are the operation
 // the paper requires to cost "roughly that of a function call", so the
@@ -176,23 +176,20 @@ class SoftTimerFacility {
   // events that no trigger state picked up.
   size_t OnBackupInterrupt() { return OnTriggerState(TriggerSource::kBackupIntr); }
 
-  // Observer invoked once per dispatched handler (before the handler), so a
-  // host can charge per-dispatch CPU cost. May be empty.
-  void set_dispatch_observer(std::function<void(const FireInfo&)> obs) {
-    dispatch_observer_ = std::move(obs);
-  }
-
-  // Raw-function-pointer probe invoked once per dispatched handler (before
-  // the handler and before the dispatch observer) with the event's FireInfo.
-  // Kept as a plain pointer + context so installing and firing it never
-  // allocates and costs one predictable indirect call on the hot path - this
-  // is how ShardedRtHost feeds its per-shard dispatch-lateness histograms
-  // (FireInfo::lateness_ticks per dispatch) without a std::function in the
-  // loop. Independent of the dispatch observer; both may be installed.
-  using LatenessProbeFn = void (*)(void* ctx, const FireInfo& info);
-  void set_lateness_probe(LatenessProbeFn fn, void* ctx) {
-    lateness_probe_fn_ = fn;
-    lateness_probe_ctx_ = ctx;
+  // The host's one per-dispatch hook: a raw-function-pointer probe invoked
+  // once per dispatched handler, before the handler, with the event's
+  // FireInfo. It returns the dispatch's charged cost in measurement ticks;
+  // with the degradation policy enabled, the policy reads that value after
+  // the handler to enforce its per-dispatch handler budget (without a probe,
+  // costs read as 0 and no handler is ever quarantined). Kept as a plain
+  // pointer + context so installing and firing it never allocates and costs
+  // one predictable indirect call on the hot path. machine::Kernel charges
+  // the dispatch to the CPU that hit the trigger state; ShardedRtHost feeds
+  // its per-shard dispatch-lateness histograms and returns 0.
+  using DispatchProbeFn = uint64_t (*)(void* ctx, const FireInfo& info);
+  void set_dispatch_probe(DispatchProbeFn fn, void* ctx) {
+    dispatch_probe_fn_ = fn;
+    dispatch_probe_ctx_ = ctx;
   }
 
   // Observer invoked after each ScheduleSoftEvent. The host's idle loop uses
@@ -200,15 +197,6 @@ class SoftTimerFacility {
   // (Section 5.2's halt condition (a) can newly fail).
   void set_schedule_observer(std::function<void()> obs) {
     schedule_observer_ = std::move(obs);
-  }
-
-  // Probe invoked after each handler returns (only when the degradation
-  // policy is enabled), returning the dispatch's cost in measurement ticks
-  // so the policy can enforce the per-dispatch handler budget. The host is
-  // the only party that knows the charged CPU cost; without a probe, costs
-  // read as 0 and no handler is ever quarantined.
-  void set_dispatch_cost_probe(std::function<uint64_t(const FireInfo&)> probe) {
-    dispatch_cost_probe_ = std::move(probe);
   }
 
   // --- Degradation ------------------------------------------------------
@@ -291,7 +279,7 @@ class SoftTimerFacility {
   };
 
   // Single dispatch entry point: builds FireInfo from the fired payload,
-  // updates stats, runs observers and the handler.
+  // updates stats, runs the dispatch probe and the handler.
   void DispatchFired(const TimerFired& fired, const Handler& handler);
 
   // Policy-mode dispatch: runs the handler, or defers it (quarantined tag at
@@ -316,13 +304,11 @@ class SoftTimerFacility {
   Config config_;
   std::unique_ptr<TimerQueue> queue_;
   std::unique_ptr<DegradationPolicy> policy_;
-  std::function<void(const FireInfo&)> dispatch_observer_;
   std::function<void()> schedule_observer_;
-  std::function<uint64_t(const FireInfo&)> dispatch_cost_probe_;
   EventRetiredFn event_retired_fn_ = nullptr;
   void* event_retired_ctx_ = nullptr;
-  LatenessProbeFn lateness_probe_fn_ = nullptr;
-  void* lateness_probe_ctx_ = nullptr;
+  DispatchProbeFn dispatch_probe_fn_ = nullptr;
+  void* dispatch_probe_ctx_ = nullptr;
   // Conservative cached copy of the earliest pending deadline, maintained
   // only when no policy is configured (the policy needs every check to reach
   // its density tracker anyway). Invariant: next_deadline_ <= the queue's

@@ -10,11 +10,11 @@
 //
 //   SimClockSource true_clock(&sim, measure_hz);
 //   fault::FaultInjector inj(&true_clock, plan, seed);
-//   Kernel::Config kc;
-//   kc.measure_clock_override = inj.faulty_clock();  // if the plan has
-//   Kernel kernel(&sim, kc);                         // clock faults
+//   Kernel kernel(&sim, Kernel::Config{});
 //   inj.InstallOn(&kernel);
 //   inj.InstallOn(&link);
+//   // Clock faults: drive a facility on the perturbed clock directly.
+//   SoftTimerFacility fac(inj.faulty_clock(), SoftTimerFacility::Config{});
 //
 // Every probabilistic decision draws from the injector's Rng in simulation
 // event order, so a fixed (plan, seed) perturbs a deterministic simulation
@@ -58,9 +58,9 @@ class FaultInjector {
   bool DropDataSegment(uint64_t flow_id = 0);
   bool DropAck(uint64_t flow_id = 0);
 
-  // The measurement clock as perturbed by the plan's stalls/jumps. Pass as
-  // Kernel::Config::measure_clock_override (valid for the injector's
-  // lifetime; identical to the true clock when the plan has no clock faults).
+  // The measurement clock as perturbed by the plan's stalls/jumps, for a
+  // SoftTimerFacility under test (valid for the injector's lifetime;
+  // identical to the true clock when the plan has no clock faults).
   const FaultyClockSource* faulty_clock() const { return &faulty_clock_; }
 
   // Installs the kernel-side fault hooks on `kernel`.

@@ -61,12 +61,6 @@ class Kernel {
     IdleBehavior idle_behavior = IdleBehavior::kHaltPolicy;
     // Log-normal sigma applied to the idle poll interval (0 = deterministic).
     double idle_poll_jitter_sigma = 0.25;
-    // Measurement clock handed to the soft-timer facility instead of the
-    // kernel's own SimClockSource (e.g. a fault::FaultyClockSource modelling
-    // TSC stalls/jumps). The kernel itself keeps true time; only the
-    // facility's MeasureTime() view is affected, which is exactly the
-    // anomaly a bad cycle counter produces. Must outlive the kernel.
-    const ClockSource* measure_clock_override = nullptr;
     // Simulation speedup: skip the idle loop's no-op checks and jump the
     // poll straight to just past the earliest soft-timer deadline. Firing
     // times are statistically identical (deadline + U[0, poll interval]);
@@ -183,6 +177,9 @@ class Kernel {
     bool deferred = false;  // a latched tick is waiting for interrupts on
   };
 
+  // The facility's dispatch probe: charges one dispatch to the CPU that hit
+  // the trigger state and returns that cost in ticks.
+  uint64_t ChargeDispatch(const SoftTimerFacility::FireInfo& info);
   void OnBackupTick();
   void OnPeriodicTick(PeriodicTimer* t);
   void DeferTick(PeriodicTimer* t);
@@ -208,9 +205,6 @@ class Kernel {
   // Backup-rate multiplier in effect (reprogrammed from the degradation
   // policy's value at trigger states - i.e. when software actually runs).
   uint32_t backup_multiplier_ = 1;
-  // Dispatch cost charged for the handler currently firing, reported back
-  // to the facility's budget probe (ticks).
-  uint64_t last_dispatch_cost_ticks_ = 0;
   // Per-CPU previous-trigger timestamps.
   std::vector<SimTime> last_trigger_;
   std::vector<bool> have_last_trigger_;

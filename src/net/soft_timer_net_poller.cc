@@ -33,25 +33,22 @@ void SoftTimerNetPoller::Start() {
       ScheduleNext(governor_.current_interval_ticks());
     }
   });
-  if (config_.interrupts_when_idle) {
-    kernel_->AddCpuIdleListener([this](int cpu, bool idle) {
-      (void)cpu;
-      if (idle) {
-        if (active_) {
-          ++stats_.idle_switches;
-          SetPolled(false);
-        }
-      } else {
-        if (!active_) {
-          SetPolled(true);
-        }
+  // Flip to interrupt mode whenever a CPU idles (Section 5.9).
+  kernel_->AddCpuIdleListener([this](int cpu, bool idle) {
+    (void)cpu;
+    if (idle) {
+      if (active_) {
+        ++stats_.idle_switches;
+        SetPolled(false);
       }
-    });
-    // Engage according to the current CPU state.
-    SetPolled(kernel_->cpu(0).busy());
-  } else {
-    SetPolled(true);
-  }
+    } else {
+      if (!active_) {
+        SetPolled(true);
+      }
+    }
+  });
+  // Engage according to the current CPU state.
+  SetPolled(kernel_->cpu(0).busy());
 }
 
 void SoftTimerNetPoller::SetPolled(bool polled) {

@@ -27,9 +27,6 @@ class SoftTimerNetPoller {
  public:
   struct Config {
     PollGovernor::Config governor;
-    // Flip to interrupt mode whenever a CPU idles (paper behaviour). Off
-    // turns the system into pure soft-timer polling.
-    bool interrupts_when_idle = true;
     // Max packets drained per NIC per poll.
     size_t max_per_poll = 64;
   };

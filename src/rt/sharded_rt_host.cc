@@ -26,9 +26,11 @@ ShardedRtHost::ShardedRtHost(Config config)
   for (size_t i = 0; i < config_.num_shards; ++i) {
     loops_.push_back(std::make_unique<ShardLoop>());
     ShardLoop& loop = *loops_.back();
-    loop.isolated = profiles_[i].profile == ShardProfile::kIsolated;
+    if (profiles_[i].profile == ShardProfile::kIsolated) {
+      loop.clean = std::make_unique<CleanLateness>();
+    }
     loop.slo_budget = profiles_[i].slo_lateness_ticks;
-    runtime_->shard_facility(i).set_lateness_probe(
+    runtime_->shard_facility(i).set_dispatch_probe(
         &ShardedRtHost::LatenessProbe, &loop);
   }
 }
@@ -163,110 +165,106 @@ void ShardedRtHost::RunShard(size_t shard) {
 }
 
 // SOFTTIMER_HOT
-void ShardedRtHost::LatenessProbe(void* ctx,
-                                  const SoftTimerFacility::FireInfo& info) {
+uint64_t ShardedRtHost::LatenessProbe(void* ctx,
+                                      const SoftTimerFacility::FireInfo& info) {
   auto* loop = static_cast<ShardLoop*>(ctx);
   uint64_t lateness = info.lateness_ticks();
   loop->lateness_raw.Record(lateness);
-  if (!loop->isolated) {
+  CleanLateness* clean = loop->clean.get();
+  if (clean == nullptr) {
     // Normal profile: no steal detection, every dispatch is clean, so the
     // raw histogram doubles as the clean one (shard_lateness_clean).
     if (loop->slo_budget != 0 && lateness > loop->slo_budget) {
       ++loop->iso.slo_violations;
     }
-    return;
+    return 0;
   }
-  if (loop->check_tainted) {
+  if (clean->calibrating) {
+    return 0;  // no steal threshold yet to vouch for it: raw only
+  }
+  if (clean->check_tainted) {
     // Leading gap was a steal: this dispatch's fired_tick is preemption
     // noise, keep it out of the clean histogram entirely.
     ++loop->iso.steal_suppressed_dispatches;
-    return;
+    return 0;
   }
   // Clean so far, but a steal could still have landed between the loop-top
   // clock read and the facility's dispatch read. Buffer until the NEXT
   // loop-top read vouches for the trailing gap (sandwich rule: a dispatch
   // is clean only when the gaps on both sides of its check are clean).
-  if (loop->pending_clean_count < kCleanBufferCap) {
-    loop->pending_clean[loop->pending_clean_count++] = lateness;
+  if (clean->pending_count < kCleanBufferCap) {
+    clean->pending[clean->pending_count++] = lateness;
   } else {
     ++loop->iso.steal_suppressed_dispatches;  // overflow: raw-only
   }
+  return 0;
 }
 
 void ShardedRtHost::ResolvePendingClean(ShardLoop& loop, bool trailing_steal) {
-  if (loop.pending_clean_count == 0) {
+  CleanLateness& clean = *loop.clean;
+  if (clean.pending_count == 0) {
     return;
   }
   if (trailing_steal) {
-    loop.iso.steal_suppressed_dispatches += loop.pending_clean_count;
+    loop.iso.steal_suppressed_dispatches += clean.pending_count;
   } else {
-    for (size_t i = 0; i < loop.pending_clean_count; ++i) {
-      uint64_t lateness = loop.pending_clean[i];
-      loop.lateness_clean.Record(lateness);
+    for (size_t i = 0; i < clean.pending_count; ++i) {
+      uint64_t lateness = clean.pending[i];
+      clean.histogram.Record(lateness);
       if (loop.slo_budget != 0 && lateness > loop.slo_budget) {
         ++loop.iso.slo_violations;
       }
     }
   }
-  loop.pending_clean_count = 0;
+  clean.pending_count = 0;
 }
 
-uint64_t ShardedRtHost::CalibrateSpinGap() const {
-  // Median of a short spin burst: the typical clock-read-to-clock-read cost
-  // of one loop iteration. Median rather than mean so a hypervisor steal
-  // landing inside the burst cannot poison the calibration.
-  constexpr size_t kSamples = 1024;
-  std::array<uint64_t, kSamples> gaps;
-  uint64_t prev = clock_.NowTicks();
-  for (size_t i = 0; i < kSamples; ++i) {
-    CpuRelax();
-    uint64_t now = clock_.NowTicks();
-    gaps[i] = now - prev;
-    prev = now;
+void ShardedRtHost::SpinOnce(size_t shard) {
+  ++loops_[shard]->stats.polls;
+  runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+  if (config_.shard_tick) {
+    config_.shard_tick(shard);
   }
-  std::nth_element(gaps.begin(), gaps.begin() + kSamples / 2, gaps.end());
-  return gaps[kSamples / 2];
+  CpuRelax();
 }
 
 void ShardedRtHost::RunShardIsolated(size_t shard) {
   ShardLoop& loop = *loops_[shard];
-  SoftTimerFacility& facility = runtime_->shard_facility(shard);
-  // Startup calibration (CHRONOS-style cost model): the arm-to-fire overhead
-  // of the software backup is one spin check gap, so measure it and derive
-  // both the steal threshold and the compensation from it. The steal
-  // threshold is a generous multiple of the median gap - far above
-  // scheduling jitter, far below any real preemption - and the compensation
-  // must be at least the threshold so that any backup fired late WITHOUT a
-  // detected steal would contradict the threshold, making backup_true_late
-  // structurally zero under kCompensated.
-  uint64_t median_gap = CalibrateSpinGap();
-  uint64_t steal_threshold =
-      std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
-  uint64_t backup_period = facility.ticks_per_backup_interval();
-  uint64_t compensation = 0;
-  if (profiles_[shard].backup == IsolatedBackup::kCompensated) {
-    compensation = std::max<uint64_t>(steal_threshold, 16);
-    // A compensation rivaling the period would make the backup fire
-    // constantly; clamp and let steal classification absorb the rest.
-    compensation = std::min(compensation, backup_period / 2);
-  }
-  loop.iso.calibrated_gap_ticks = median_gap;
-  loop.iso.steal_threshold_ticks = steal_threshold;
-  loop.iso.compensation_ticks = compensation;
-  // Setup runs AFTER calibration so a timer it schedules (e.g. a bench's
-  // self-re-arm chain) is not already overdue by the calibration burst when
-  // the first check runs.
+  CleanLateness& clean = *loop.clean;
   if (config_.shard_setup) {
     config_.shard_setup(shard);
   }
-
+  // Calibration: time the loop's own first iterations, clock read to clock
+  // read, exactly as the classifier below measures them. The median, not
+  // the mean, so a steal landing inside the calibration cannot poison it.
+  // The steal threshold is a generous multiple of that median - far above
+  // scheduling jitter, far below any real preemption.
+  std::array<uint64_t, kCalibrationIterations> gaps;
+  size_t samples = 0;
+  clean.calibrating = true;
   uint64_t prev_tick = clock_.NowTicks();
-  // Nominal deadline of the next software backup, and the (compensated)
-  // tick at which the loop actually performs it.
-  uint64_t backup_deadline = prev_tick + backup_period;
-  uint64_t backup_arm = backup_deadline - compensation;
   // ordering: same relaxed-stop contract as RunShard - the loop re-polls
   // continuously, so staleness costs at most one extra iteration.
+  while (samples < kCalibrationIterations &&
+         !stop_.load(std::memory_order_relaxed)) {
+    SpinOnce(shard);
+    uint64_t now = clock_.NowTicks();
+    gaps[samples++] = now - prev_tick;
+    prev_tick = now;
+  }
+  clean.calibrating = false;
+  uint64_t median_gap = 0;
+  if (samples > 0) {
+    std::nth_element(gaps.begin(), gaps.begin() + samples / 2,
+                     gaps.begin() + samples);
+    median_gap = gaps[samples / 2];
+  }
+  uint64_t steal_threshold =
+      std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
+  loop.iso.calibrated_gap_ticks = median_gap;
+  loop.iso.steal_threshold_ticks = steal_threshold;
+
+  // ordering: same relaxed-stop contract as above.
   while (!stop_.load(std::memory_order_relaxed)) {
     uint64_t now = clock_.NowTicks();
     uint64_t gap = now - prev_tick;
@@ -281,31 +279,8 @@ void ShardedRtHost::RunShardIsolated(size_t shard) {
     if (gap > loop.iso.max_gap_ticks) {
       loop.iso.max_gap_ticks = gap;
     }
-    loop.check_tainted = steal;
-    ++loop.stats.polls;
-    ++loop.iso.spin_checks;
-    if (now >= backup_arm) {
-      ++loop.stats.backup_checks;
-      ++loop.iso.backup_fires;
-      if (now <= backup_deadline) {
-        ++loop.iso.backup_on_time;
-      } else if (steal) {
-        ++loop.iso.backup_steal_late;
-      } else {
-        ++loop.iso.backup_true_late;
-      }
-      runtime_->OnBackupInterrupt(shard);
-      // Re-arm one period out from the fire (one-shot re-arm, so a long
-      // steal yields one late backup, not a burst of catch-up fires).
-      backup_deadline = now + backup_period;
-      backup_arm = backup_deadline - compensation;
-    } else {
-      runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
-    }
-    if (config_.shard_tick) {
-      config_.shard_tick(shard);
-    }
-    CpuRelax();
+    clean.check_tainted = steal;
+    SpinOnce(shard);
   }
   // No trailing gap will ever vouch for the last check's dispatches;
   // suppress them (they are in raw) rather than guess.
@@ -332,7 +307,7 @@ const LatencyHistogram& ShardedRtHost::shard_lateness_raw(size_t shard) const {
 const LatencyHistogram& ShardedRtHost::shard_lateness_clean(
     size_t shard) const {
   const ShardLoop& loop = *loops_[shard];
-  return loop.isolated ? loop.lateness_clean : loop.lateness_raw;
+  return loop.clean ? loop.clean->histogram : loop.lateness_raw;
 }
 
 }  // namespace softtimer

@@ -36,23 +36,23 @@
 //  * kNormal - the loop described above (trigger checks + backup-bounded
 //    sleeps, optional queue work).
 //
-//  * kIsolated - a latency-SLO dedicated core: the loop spins on
-//    trigger-state checks forever (CpuRelax() pause hint per iteration) and
-//    NEVER parks on the eventcount, so a cross-core schedule is picked up
-//    within one check gap instead of one futex wakeup. The backup
-//    interrupt is emulated in software, and under kCompensated it is armed
-//    EARLY by a calibrated compensation (CHRONOS-style: the arm-to-fire
-//    overhead of a software backup is the loop's check gap, measured at
-//    startup, and subtracting it from the backup deadline makes on-time
-//    backup fires structural rather than lucky). Because this repo's CI
-//    runs on shared 1-core VMs where the hypervisor steals the CPU for
-//    multi-microsecond stretches, the loop also detects preemption
-//    (clock-read gap above a steal threshold) and keeps TWO
+//  * kIsolated - a latency-SLO dedicated core: every iteration is a
+//    trigger-state check, then shard_tick, then a CpuRelax() pause hint,
+//    and the loop NEVER parks on the eventcount, so a cross-core schedule
+//    is picked up within one iteration instead of one futex wakeup. It runs
+//    no backup: the paper's backup interrupt bounds lateness when trigger
+//    states are sparse, and here the check IS the loop, so a backup could
+//    only relabel a check the loop makes anyway. Because shared VMs steal
+//    the CPU for multi-microsecond stretches, the loop detects preemption
+//    (an iteration's clock gap above a steal threshold) and keeps TWO
 //    dispatch-lateness histograms: `raw` (every dispatch) and `clean`
-//    (dispatches not adjacent to a detected steal). SLO gates read
-//    the clean histogram - the same CPU-attribution methodology as the
-//    bench suite's CPU-time-per-op numbers - while raw is always reported
-//    alongside.
+//    (dispatches not adjacent to a detected steal). The threshold is 32x
+//    the median gap of the loop's own first kCalibrationIterations
+//    iterations (check plus shard_tick, after shard_setup); their
+//    dispatches go to raw only, since no threshold exists yet to vouch for
+//    them. SLO gates read the clean histogram - the same CPU-attribution
+//    methodology as the bench suite's CPU-time-per-op numbers - while raw
+//    is always reported alongside.
 //
 // Producer threads (application threads scheduling onto shards) register
 // through RegisterProducer() and use the runtime's cross-core API directly.
@@ -81,19 +81,8 @@ class ShardedRtHost {
     kIsolated,  // dedicated spinning core, never sleeps on the eventcount
   };
 
-  // Backup-interrupt policy for an isolated shard. The spin loop emulates
-  // the backup in software (there is no real timer interrupt to program), so
-  // "arming" means picking the tick at which the loop performs a
-  // kBackupIntr-attributed check for the backup nominally due at D.
-  enum class IsolatedBackup {
-    kUncompensated,  // arm at D: fires one check gap AFTER D, i.e. late
-    kCompensated,    // arm at D - compensation: on-time unless preempted
-  };
-
   struct ShardProfileConfig {
     ShardProfile profile = ShardProfile::kNormal;
-    // Isolated shards only; ignored for kNormal.
-    IsolatedBackup backup = IsolatedBackup::kCompensated;
     // Dispatch-lateness SLO budget in measure ticks. Clean dispatches whose
     // FireInfo::lateness_ticks() exceeds it bump IsolatedShardStats::
     // slo_violations. 0 disables SLO accounting. Honoured on either profile
@@ -171,7 +160,9 @@ class ShardedRtHost {
     // wait gets a zero timeout, so how long it lasts is up to the kernel's
     // timer slack (DESIGN.md section 17).
     uint64_t due_parks = 0;
-    uint64_t backup_checks = 0;  // checks attributed to the backup interrupt
+    // Checks attributed to the backup interrupt (normal shards only: an
+    // isolated shard's every check is a trigger state).
+    uint64_t backup_checks = 0;
     // Producer wakes that took this shard out of a blocking wait. At most
     // one per park, so wakeups <= sleeps always holds.
     uint64_t wakeups = 0;
@@ -182,35 +173,33 @@ class ShardedRtHost {
   // a torn-but-monotonic snapshot).
   ShardLoopStats shard_loop_stats(size_t shard) const;
 
-  // Counters specific to the isolated spin loop (all zero for kNormal
-  // shards). Quiesced reads only, like the histograms below.
+  // Counters specific to the isolated spin loop (all but slo_violations are
+  // zero for kNormal shards; its iterations are ShardLoopStats::polls).
+  // Quiesced reads only, like the histograms below.
   struct IsolatedShardStats {
-    uint64_t spin_checks = 0;   // iterations of the spin loop
     uint64_t steal_events = 0;  // checks whose leading gap exceeded the
                                 // steal threshold (preemption detected)
     uint64_t stolen_ticks = 0;  // total ticks inside detected steal gaps
-    uint64_t max_gap_ticks = 0; // largest check-to-check clock gap seen
+    uint64_t max_gap_ticks = 0; // largest check-to-check gap classified
     // Dispatches excluded from the clean histogram because a steal was
     // detected in the gap before or after their check (they stay in raw).
     uint64_t steal_suppressed_dispatches = 0;
-    uint64_t backup_fires = 0;      // software-backup checks performed
-    uint64_t backup_on_time = 0;    // fired at or before the nominal D
-    uint64_t backup_true_late = 0;  // fired past D with no steal detected
-    uint64_t backup_steal_late = 0; // fired past D because of a steal
     uint64_t slo_violations = 0;    // clean dispatches over the SLO budget
-    // Derived from the startup calibration alone, for reporting.
-    uint64_t calibrated_gap_ticks = 0;   // median spin check gap
+    // From the startup calibration: the median gap of the loop's first
+    // kCalibrationIterations iterations, shard_tick included, and the steal
+    // threshold derived from it.
+    uint64_t calibrated_gap_ticks = 0;
     uint64_t steal_threshold_ticks = 0;  // 32x the median gap
-    uint64_t compensation_ticks = 0;     // 0 under kUncompensated
   };
   IsolatedShardStats isolated_shard_stats(size_t shard) const;
 
   // Dispatch-lateness histograms (FireInfo::lateness_ticks per dispatched
-  // handler), fed by a facility lateness probe on EVERY shard. A normal
+  // handler), fed by a facility dispatch probe on EVERY shard. A normal
   // shard records each dispatch once and its clean histogram IS its raw
-  // one; an isolated shard's clean excludes steal-adjacent dispatches (see
-  // header comment). Written by the shard's loop thread: read after Stop(),
-  // or from the loop thread itself (shard_tick hooks).
+  // one; an isolated shard's clean excludes steal-adjacent dispatches and
+  // those of its calibration iterations (see header comment). Written by
+  // the shard's loop thread: read after Stop(), or from the loop thread
+  // itself (shard_tick hooks).
   const LatencyHistogram& shard_lateness_raw(size_t shard) const;
   const LatencyHistogram& shard_lateness_clean(size_t shard) const;
 
@@ -224,6 +213,18 @@ class ShardedRtHost {
   // (see LatenessProbe). Far above any sane dispatch batch for an
   // SLO-carrying shard; overflow falls back to raw-only recording.
   static constexpr size_t kCleanBufferCap = 64;
+  // Iterations an isolated loop times before it classifies steals.
+  static constexpr size_t kCalibrationIterations = 1024;
+
+  // Steal-classification state of an isolated shard's lateness probe
+  // (loop-thread only). Normal shards allocate none of it.
+  struct CleanLateness {
+    bool calibrating = true;     // no steal threshold yet: raw-only
+    bool check_tainted = false;  // current check's leading gap was a steal
+    size_t pending_count = 0;
+    std::array<uint64_t, kCleanBufferCap> pending{};
+    LatencyHistogram histogram;
+  };
 
   // Everything one shard's loop thread touches, cache-line separated.
   struct alignas(kCacheLineBytes) ShardLoop {
@@ -236,28 +237,26 @@ class ShardedRtHost {
     ShardLoopStats stats;  // loop-thread writes (wakeups mirrored on read)
     IsolatedShardStats iso;
     // Lateness-probe state (loop-thread only, set up before Start()).
-    bool isolated = false;
-    bool check_tainted = false;  // current check's leading gap was a steal
     uint64_t slo_budget = 0;
-    size_t pending_clean_count = 0;
-    std::array<uint64_t, kCleanBufferCap> pending_clean{};
     LatencyHistogram lateness_raw;
-    LatencyHistogram lateness_clean;  // isolated shards only
+    std::unique_ptr<CleanLateness> clean;  // isolated shards only
     std::thread thread;
   };
 
   static void WakeShard(void* ctx, size_t shard);
-  // Facility lateness probe, installed on every shard facility with the
+  // Facility dispatch probe, installed on every shard facility with the
   // shard's ShardLoop as context; runs inside DispatchFired on the loop
   // thread (or whichever thread drives a quiesced facility in tests).
-  static void LatenessProbe(void* ctx, const SoftTimerFacility::FireInfo& info);
+  // Records lateness and charges no cost (returns 0).
+  static uint64_t LatenessProbe(void* ctx,
+                                const SoftTimerFacility::FireInfo& info);
   void RunShard(size_t shard);
   void RunShardIsolated(size_t shard);
-  // Median clock gap of a short spin burst; the isolated loop's calibration.
-  uint64_t CalibrateSpinGap() const;
+  // One isolated-loop iteration: the check, shard_tick, a pause hint.
+  void SpinOnce(size_t shard);
   // Flush (clean trailing gap) or suppress (steal trailing gap) the
   // dispatches buffered during the previous isolated check.
-  void ResolvePendingClean(ShardLoop& loop, bool trailing_steal);
+  static void ResolvePendingClean(ShardLoop& loop, bool trailing_steal);
   // Backup-bounded sleep for `shard`, then the check it was bounded for.
   void SleepAndDispatch(size_t shard);
 

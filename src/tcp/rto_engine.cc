@@ -28,8 +28,7 @@ uint64_t RtoEngine::OpenConnection(void* conn_ctx) {
   }
   Conn& conn = conns_[index];
   conn.ctx = conn_ctx;
-  conn.srtt = 0;
-  conn.rttvar = 0;
+  conn.rtt = RttEstimate{};
   conn.rto = config_.rto_initial_ticks;
   conn.live = 0;
   conn.head = 0;
@@ -183,21 +182,8 @@ size_t RtoEngine::OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq) {
 }
 
 void RtoEngine::TakeRttSample(Conn& conn, uint64_t sample_ticks) {
-  if (!conn.have_srtt) {
-    conn.srtt = sample_ticks;
-    conn.rttvar = sample_ticks / 2;
-    conn.have_srtt = true;
-  } else {
-    uint64_t diff = conn.srtt > sample_ticks ? conn.srtt - sample_ticks
-                                             : sample_ticks - conn.srtt;
-    conn.rttvar = (3 * conn.rttvar + diff) / 4;
-    conn.srtt = (7 * conn.srtt + sample_ticks) / 8;
-  }
-  uint64_t var_term = 4 * conn.rttvar;
-  if (var_term < 1) {
-    var_term = 1;
-  }
-  uint64_t rto = conn.srtt + var_term;
+  uint64_t rto = RttSample(conn.rtt, !conn.have_srtt, sample_ticks);
+  conn.have_srtt = true;
   if (rto < config_.rto_min_ticks) {
     rto = config_.rto_min_ticks;
   }
@@ -307,7 +293,7 @@ uint64_t RtoEngine::effective_rto_ticks(uint64_t conn_id) const {
 
 uint64_t RtoEngine::srtt_ticks(uint64_t conn_id) const {
   const Conn* conn = Resolve(conn_id);
-  return conn != nullptr ? conn->srtt : 0;
+  return conn != nullptr ? conn->rtt.srtt : 0;
 }
 
 }  // namespace softtimer

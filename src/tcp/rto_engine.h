@@ -11,10 +11,8 @@
 //
 // Retransmission policy (RFC 6298 shape, integer tick arithmetic):
 //
-//  * RTT estimation - SRTT/RTTVAR from Jacobson's estimator:
-//        first sample:  SRTT = R, RTTVAR = R/2
-//        afterwards:    RTTVAR = (3*RTTVAR + |SRTT - R|) / 4
-//                       SRTT   = (7*SRTT + R) / 8
+//  * RTT estimation - SRTT/RTTVAR from Jacobson's estimator, the one
+//    TcpSender also uses (src/tcp/rtt_estimator.h):
 //        RTO = clamp(SRTT + max(1, 4*RTTVAR), rto_min, rto_max)
 //  * Karn's rule - a segment that has been retransmitted never produces an
 //    RTT sample (its ACK is ambiguous); samples come from the newest
@@ -47,6 +45,7 @@
 
 #include "src/core/degradation_policy.h"
 #include "src/core/sharded_soft_timer_runtime.h"
+#include "src/tcp/rtt_estimator.h"
 
 namespace softtimer {
 
@@ -168,8 +167,7 @@ class RtoEngine {
 
   struct Conn {
     void* ctx = nullptr;
-    uint64_t srtt = 0;    // ticks
-    uint64_t rttvar = 0;  // ticks
+    RttEstimate rtt;  // ticks
     uint64_t rto = 0;     // estimator output, pre-backoff
     uint32_t generation = 1;
     uint8_t live = 0;           // in-flight segments

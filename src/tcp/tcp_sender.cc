@@ -265,20 +265,11 @@ void TcpSender::MaybeStartRttProbe(uint64_t end_seq) {
 }
 
 void TcpSender::OnRttSample(SimDuration sample) {
-  if (!have_srtt_) {
-    srtt_ = sample;
-    rttvar_ = sample / int64_t{2};
-    have_srtt_ = true;
-  } else {
-    SimDuration err = sample - srtt_;
-    if (err < SimDuration::Zero()) {
-      err = -err;
-    }
-    srtt_ = srtt_ + (sample - srtt_) / int64_t{8};
-    rttvar_ = rttvar_ + (err - rttvar_) / int64_t{4};
-  }
-  SimDuration rto = srtt_ + rttvar_ * int64_t{4};
-  rto_current_ = std::clamp(rto, config_.rto_min, config_.rto_max);
+  uint64_t rto_ns = RttSample(rtt_, !have_srtt_,
+                             static_cast<uint64_t>(sample.nanos()));
+  have_srtt_ = true;
+  rto_current_ = std::clamp(SimDuration::Nanos(static_cast<int64_t>(rto_ns)),
+                            config_.rto_min, config_.rto_max);
 }
 
 void TcpSender::ArmRto() {

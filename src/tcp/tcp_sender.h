@@ -37,6 +37,7 @@
 #include "src/machine/kernel.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
+#include "src/tcp/rtt_estimator.h"
 
 namespace softtimer {
 
@@ -59,7 +60,7 @@ class TcpSender {
     // Cap on segments released by one ACK (Fall & Floyd's maxburst; 0 = off).
     uint32_t max_burst_segments = 0;
     // Retransmission timer. With adaptive_rto the timer follows Jacobson's
-    // estimator (RTO = SRTT + 4 * RTTVAR, Karn-sampled); rto_initial applies
+    // estimator (src/tcp/rtt_estimator.h, Karn-sampled); rto_initial applies
     // until the first RTT sample.
     bool adaptive_rto = true;
     SimDuration rto_initial = SimDuration::Seconds(1.5);
@@ -119,7 +120,9 @@ class TcpSender {
   uint64_t bytes_acked() const { return snd_una_; }
   bool transfer_complete() const { return complete_; }
   // Smoothed RTT estimate; zero until the first sample.
-  SimDuration srtt() const { return srtt_; }
+  SimDuration srtt() const {
+    return SimDuration::Nanos(static_cast<int64_t>(rtt_.srtt));
+  }
   SimDuration current_rto() const { return rto_current_; }
 
   struct Stats {
@@ -178,8 +181,7 @@ class TcpSender {
   bool rtt_probe_active_ = false;
   uint64_t rtt_probe_end_seq_ = 0;
   SimTime rtt_probe_sent_at_;
-  SimDuration srtt_;
-  SimDuration rttvar_;
+  RttEstimate rtt_;  // nanoseconds
   bool have_srtt_ = false;
 
   Stats stats_;

@@ -284,9 +284,11 @@ TEST(FaultInjectionTest, QuarantinedEventsDeferToBackupAndStayCancellable) {
   cfg.degradation.quarantine_after_strikes = 1;
   SoftTimerFacility fac(&clock, cfg);
   // The host reports a huge cost for tag 9 dispatches.
-  fac.set_dispatch_cost_probe([](const SoftTimerFacility::FireInfo& info) {
-    return info.handler_tag == 9 ? uint64_t{100} : uint64_t{0};
-  });
+  fac.set_dispatch_probe(
+      [](void*, const SoftTimerFacility::FireInfo& info) -> uint64_t {
+        return info.handler_tag == 9 ? 100 : 0;
+      },
+      nullptr);
 
   int fired = 0;
   fac.ScheduleSoftEvent(5, [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 9);

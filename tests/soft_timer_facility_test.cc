@@ -287,8 +287,12 @@ TEST_F(FacilityFixture, StatsAccounting) {
 
 TEST_F(FacilityFixture, DispatchObserverRunsBeforeHandler) {
   std::vector<int> order;
-  facility_->set_dispatch_observer(
-      [&](const SoftTimerFacility::FireInfo&) { order.push_back(1); });
+  facility_->set_dispatch_probe(
+      [](void* ctx, const SoftTimerFacility::FireInfo&) -> uint64_t {
+        static_cast<std::vector<int>*>(ctx)->push_back(1);
+        return 0;
+      },
+      &order);
   facility_->ScheduleSoftEvent(1, [&](const SoftTimerFacility::FireInfo&) { order.push_back(2); });
   AdvanceTo(SimDuration::Micros(5));
   facility_->OnTriggerState(TriggerSource::kSyscall);
